@@ -497,8 +497,21 @@ SocketFloorResult RunSocketFloor(const Workload& w) {
   listener.BindPlane(&plane);
   if (!listener.Start()) return result;
 
+  // Start gate: the child sends the warmup round, then blocks on this
+  // pipe until the parent has started the clock. Without it the window
+  // can be empty: HandleReadable reads until the socket is drained, and
+  // a writer that outpaces ingest never lets it drain, so one PollOnce
+  // may swallow the whole workload before the warmup check runs.
+  int go[2];
+  if (::pipe(go) != 0) {
+    listener.Stop();
+    (void)::unlink(path);
+    return result;
+  }
   const pid_t child = ::fork();
   if (child < 0) {
+    (void)::close(go[0]);
+    (void)::close(go[1]);
     listener.Stop();
     (void)::unlink(path);
     return result;
@@ -507,10 +520,15 @@ SocketFloorResult RunSocketFloor(const Workload& w) {
     // Blaster: the workload bytes are shared copy-on-write and only
     // read; nothing here allocates. The opportunistic drain keeps the
     // child's receive buffer from filling with actuation frames.
+    (void)::close(go[1]);
     const int fd = ConnectSocket(address);
     if (fd < 0) _exit(3);
     unsigned char sink[4096];
     for (int round = 0; round < w.rounds; ++round) {
+      if (round == 1) {
+        unsigned char token = 0;
+        if (ReadChunk(go[0], &token, 1) != 1) _exit(5);
+      }
       for (int e = 0; e < w.endpoints; ++e) {
         if (!SendFully(fd, w.FrameData(round, e), w.FrameSize(round, e))) {
           _exit(4);
@@ -526,7 +544,9 @@ SocketFloorResult RunSocketFloor(const Workload& w) {
       static_cast<std::uint64_t>(w.endpoints);
   // Warmup ends once a full round has crossed the wire: accept, sink
   // binding, pollfd growth, and first-drain scratch are all excluded —
-  // steady state is the claim, same as the in-process measurement.
+  // steady state is the claim, same as the in-process measurement. The
+  // child holds the remaining rounds until the start gate opens.
+  (void)::close(go[0]);
   const std::uint64_t warmup_frames =
       static_cast<std::uint64_t>(w.endpoints);
   const std::uint64_t deadline_ns = NowNs() + 30'000'000'000ULL;
@@ -547,10 +567,13 @@ SocketFloorResult RunSocketFloor(const Workload& w) {
       g_heap_allocs.store(0);
       g_count_allocs.store(true);
       count_start_ns = NowNs();
+      const unsigned char token = 1;
+      (void)WriteFully(go[1], &token, 1);
     }
   }
   g_count_allocs.store(false);
   const std::uint64_t count_stop_ns = NowNs();
+  (void)::close(go[1]);  // EOF releases a child still at the gate
 
   int status = 0;
   (void)::waitpid(child, &status, 0);

@@ -109,7 +109,10 @@ class ControlPlane {
   // Applies a prefetcher state to one endpoint; returns false on
   // actuation failure (the plane arms a capped-exponential retry).
   // Called from drain/tick paths with the owning shard's lock held —
-  // must not call back into the plane.
+  // must not call back into the plane. Calls for one endpoint never
+  // overlap, but parallel DrainShard calls invoke it concurrently for
+  // endpoints in different shards, so any state it shares across
+  // endpoints must be thread-safe.
   using ActuateFn =
       std::function<bool(std::uint32_t endpoint_id, bool enable)>;
 

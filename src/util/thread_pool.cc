@@ -157,12 +157,16 @@ void ThreadPool::WorkerLoop() {
       });
       if (shutdown_) return;
       seen_generation = job_generation_.load(std::memory_order_relaxed);
+      // The spin above may have seen a generation whose caller has since
+      // retired it (its ParallelFor already returned). Joining it would
+      // drain the next job's cursor through this one's stale fn, so skip.
+      if (job_fn_ == nullptr) continue;
       fn = job_fn_;
       end = job_end_;
       grain = job_grain_;
       // Joining the job is published in the same critical section that
-      // read its parameters, so the caller cannot observe a drained
-      // cursor with this worker unaccounted for.
+      // read its parameters, so the caller's retire (under mu_) either
+      // waits for this worker or happens before it and is seen above.
       active_workers_.fetch_add(1, std::memory_order_relaxed);
     }
     DrainJob(fn, end, grain);
@@ -198,18 +202,18 @@ void ThreadPool::ParallelFor(std::int64_t begin, std::int64_t end,
   job_cv_.NotifyAll();
   DrainJob(&fn, end, grain);  // the caller is a lane too
   // The cursor is exhausted; wait for workers still finishing their last
-  // chunk. Spin first — chunks are short — then sleep.
-  const bool idle = SpinUntil(
+  // chunk. Spin first — chunks are short — then sleep. The spin is only a
+  // fast path: a worker may join between its last read and the lock
+  // below, so the retire re-checks under mu_, where joins happen.
+  (void)SpinUntil(
       [&] {
         return active_workers_.load(std::memory_order_acquire) == 0;
       },
       ResolveSpinBudgetUs());
   MutexLock lock(&mu_);
-  if (!idle) {
-    done_cv_.Wait(&mu_, [&]() LIMONCELLO_REQUIRES(mu_) {
-      return active_workers_.load(std::memory_order_acquire) == 0;
-    });
-  }
+  done_cv_.Wait(&mu_, [&]() LIMONCELLO_REQUIRES(mu_) {
+    return active_workers_.load(std::memory_order_acquire) == 0;
+  });
   job_fn_ = nullptr;
 }
 

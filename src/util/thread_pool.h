@@ -104,7 +104,14 @@ class ThreadPool {
   // not return while this is nonzero.
   std::atomic<int> active_workers_{0};
 
-  // Current job (valid while active_workers_ > 0 or cursor not drained).
+  // Job-retire invariant. The current job is published with job_fn_
+  // non-null and retired by resetting it to nullptr. The caller retires
+  // a job under mu_ only after every worker that joined it has left
+  // (active_workers_ == 0 re-checked under mu_, whatever the lock-free
+  // spin saw). A worker joins only under mu_ and only while job_fn_ is
+  // non-null; one that wakes after retirement records the generation and
+  // skips the job. So no worker ever drains a job whose ParallelFor has
+  // returned, nor the next job's cursor through a retired fn.
   const std::function<void(std::int64_t)>* job_fn_
       LIMONCELLO_GUARDED_BY(mu_) = nullptr;
   std::int64_t job_end_ LIMONCELLO_GUARDED_BY(mu_) = 0;

@@ -11,6 +11,7 @@
 
 #include "control/telemetry_batch.h"
 #include "core/hysteresis_controller.h"
+#include "util/mutex.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -36,15 +37,21 @@ ControlPlaneOptions SmallPlane(int endpoints, int shards = 4) {
   return options;
 }
 
-// Records every actuation; programmable to fail per endpoint.
+// Records every actuation; programmable to fail per endpoint. The plane
+// calls the hook concurrently for endpoints in different shards (parallel
+// DrainShard), so the shared call log is appended under a lock and the
+// per-endpoint flags are whole bytes: a std::vector<bool> packs
+// neighbouring endpoints into one word, and writing two of its bits from
+// two threads is a data race.
 struct FakeFleet {
   struct Call {
     std::uint32_t endpoint_id;
     bool enable;
   };
-  std::vector<Call> calls;
-  std::vector<bool> enabled;
-  std::vector<bool> faulty;
+  Mutex calls_mu;
+  std::vector<Call> calls;  // appended under calls_mu
+  std::vector<unsigned char> enabled;
+  std::vector<unsigned char> faulty;
 
   explicit FakeFleet(int endpoints)
       : enabled(static_cast<std::size_t>(endpoints), true),
@@ -52,7 +59,10 @@ struct FakeFleet {
 
   ControlPlane::ActuateFn Hook() {
     return [this](std::uint32_t id, bool enable) {
-      calls.push_back({id, enable});
+      {
+        MutexLock lock(&calls_mu);
+        calls.push_back({id, enable});
+      }
       if (faulty[id]) return false;
       enabled[id] = enable;
       return true;

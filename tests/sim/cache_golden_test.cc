@@ -8,6 +8,8 @@
 // commit message.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/cache/cache.h"
 #include "util/rng.h"
 
@@ -40,6 +42,11 @@ struct GoldenCase {
   CacheConfig config;
   Cache::Stats expected;
 };
+
+// Prints the case by name. gtest's fallback dumps the raw bytes, which
+// start with the name pointer, so listed test names changed with the
+// address-space layout of every run.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 class CacheGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "sim/machine/socket.h"
 #include "workloads/function_catalog.h"
@@ -17,6 +18,11 @@ struct Scenario {
   int pattern;  // 0 stream, 1 random, 2 strided, 3 fleet mix, 4 memcpy+sw
   bool prefetchers_on;
 };
+
+// Prints the scenario by name. gtest's fallback dumps the raw bytes,
+// which start with the name pointer, so listed test names changed with
+// the address-space layout of every run.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
 
 class SocketInvariantsTest : public ::testing::TestWithParam<Scenario> {
  protected:

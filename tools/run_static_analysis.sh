@@ -90,8 +90,10 @@ echo "=== [3/3] sanitizer pass ($SANITIZER) ==="
 # paths (decorators, reboot callbacks, retry/backoff state) must be as
 # data-race- and UB-clean as the happy path. So must the recovery paths:
 # journal replay parses attacker-grade bytes (torn/corrupt fixtures), so
-# it runs under every sanitizer too.
-SAN_TESTS_REGEX='^(MutexTest|CondVarTest|ThreadPoolTest|FleetParallelTest|FleetChaosTest|DaemonFaultTest|FaultPlanTest|FaultInjectorTest|StateJournalTest|RecoveryManagerTest|WarmRestartTest|ControllerConfigTest|Limolint|limolint)'
+# it runs under every sanitizer too. The control plane drains shards in
+# parallel through ThreadPool and calls its actuation hook concurrently,
+# so its suite is here as well.
+SAN_TESTS_REGEX='^(MutexTest|CondVarTest|ThreadPoolTest|FleetParallelTest|FleetChaosTest|DaemonFaultTest|FaultPlanTest|FaultInjectorTest|StateJournalTest|RecoveryManagerTest|WarmRestartTest|ControllerConfigTest|ControlPlaneTest|Limolint|limolint)'
 case "$SANITIZER" in
   none)
     stage sanitizer SKIP "disabled via --sanitizer=none"
@@ -105,7 +107,7 @@ case "$SANITIZER" in
         mutex_test thread_pool_test fleet_parallel_test \
         fleet_chaos_test daemon_fault_test fault_plan_test \
         fault_injector_test state_journal_test recovery_manager_test \
-        warm_restart_test controller_config_test \
+        warm_restart_test controller_config_test control_plane_test \
         limolint limolint_test >/dev/null; then
       stage sanitizer FAIL "build under ${SAN_OPT} failed"
     elif (cd "$SAN_DIR" && ctest -R "$SAN_TESTS_REGEX" \
