@@ -1,54 +1,43 @@
 // Reproduces paper Fig. 10: application throughput under different Hard
 // Limoncello threshold configurations (lower/upper as % of saturation).
-// The deployed 60/80 configuration should win or tie.
+// The deployed 60/80 configuration should win or tie. The sweep is the
+// ThresholdTuner's, which also names the configuration it would deploy.
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
+#include "fleet/threshold_tuner.h"
 #include "util/table.h"
 
 namespace limoncello::bench {
 namespace {
 
-void Run() {
-  struct Config {
-    double lower;
-    double upper;
-    const char* label;
-  };
-  const Config configs[] = {
-      {0.60, 0.80, "60/80"},
-      {0.50, 0.70, "50/70"},
-      {0.70, 0.90, "70/90"},
-  };
+std::string Label(double lower, double upper) {
+  char label[16];
+  std::snprintf(label, sizeof(label), "%.0f/%.0f", 100.0 * lower,
+                100.0 * upper);
+  return label;
+}
 
+void Run() {
   FleetOptions options = DefaultFleetOptions(23);
   options.fill = 0.62;  // loaded fleet: thresholds matter here
-  const FleetMetrics baseline =
-      RunFleetArm(PlatformConfig::Platform1(), DeploymentMode::kBaseline,
-                  DeployedControllerConfig(), options);
+  const TunerResult result = ThresholdTuner(PlatformConfig::Platform1(),
+                                            options)
+                                 .Tune(ThresholdTuner::PaperGrid());
 
   Table table({"config(LT/UT)", "throughput_increase(%)",
                "prefetcher_off_ticks(%)", "toggles"});
-  for (const Config& c : configs) {
-    ControllerConfig controller = DeployedControllerConfig();
-    controller.lower_threshold = c.lower;
-    controller.upper_threshold = c.upper;
-    const FleetMetrics metrics = RunFleetArm(
-        PlatformConfig::Platform1(), DeploymentMode::kFullLimoncello,
-        controller, options);
-    const double gain = 100.0 * (metrics.served_qps_sum /
-                                     baseline.served_qps_sum -
-                                 1.0);
-    table.AddRow(
-        {c.label, Table::Num(gain, 2),
-         Table::Num(100.0 *
-                        static_cast<double>(metrics.prefetcher_off_ticks) /
-                        static_cast<double>(metrics.machine_ticks),
-                    1),
-         Table::Num(static_cast<std::int64_t>(
-             metrics.controller_toggles))});
+  for (const ThresholdEvaluation& e : result.evaluations) {
+    table.AddRow({Label(e.candidate.lower, e.candidate.upper),
+                  Table::Num(e.throughput_gain_pct, 2),
+                  Table::Num(100.0 * e.prefetcher_off_fraction, 1),
+                  Table::Num(static_cast<std::int64_t>(e.toggles))});
   }
   table.Print("Fig. 10: throughput by threshold configuration");
+  std::printf("\nTuner's pick: %s\n",
+              Label(result.best.lower_threshold, result.best.upper_threshold)
+                  .c_str());
   std::printf(
       "\nPaper: 60/80 delivered the best application throughput; 50/70 "
       "toggles too\neagerly at moderate load, 70/90 reacts too late.\n");

@@ -49,6 +49,36 @@ std::uint32_t MixEndpointId(std::uint32_t endpoint_id) {
       33);
 }
 
+// Routes one endpoint's writes through the plane's hook, counting them
+// in the owning shard's stats; a successful write is a committed change
+// the journal must see.
+class ShardActuator final : public EndpointActuator {
+ public:
+  ShardActuator(const ControlPlane::ActuateFn& actuate,
+                ControlPlane::Stats& stats, std::uint32_t endpoint_id,
+                bool& journal_dirty)
+      : actuate_(actuate),
+        stats_(stats),
+        endpoint_id_(endpoint_id),
+        journal_dirty_(journal_dirty) {}
+
+  bool Actuate(bool enable) override {
+    if (!actuate_(endpoint_id_, enable)) {
+      ++stats_.actuation_failures;
+      return false;
+    }
+    ++(enable ? stats_.enables : stats_.disables);
+    journal_dirty_ = true;
+    return true;
+  }
+
+ private:
+  const ControlPlane::ActuateFn& actuate_;
+  ControlPlane::Stats& stats_;
+  std::uint32_t endpoint_id_;
+  bool& journal_dirty_;
+};
+
 }  // namespace
 
 ControlPlane::ControlPlane(const ControlPlaneOptions& options,
@@ -70,8 +100,7 @@ ControlPlane::ControlPlane(const ControlPlaneOptions& options,
     Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(id))];
     MutexLock lock(&shard.mu);
     slot_of_[id] = static_cast<std::uint32_t>(shard.endpoints.size());
-    shard.endpoints.emplace_back(options_.config);
-    shard.endpoints.back().endpoint_id = id;
+    shard.endpoints.emplace_back(options_.config, id);
   }
 }
 
@@ -104,43 +133,11 @@ PushResult ControlPlane::SubmitCommand(const ControlCommand& command,
   return shard.queue.PushCommand(command, enqueue_time_ns);
 }
 
-ControlPlane::EndpointState& ControlPlane::StateFor(
-    Shard& shard, std::uint32_t endpoint_id) {
+ControlPlane::Endpoint& ControlPlane::StateFor(Shard& shard,
+                                               std::uint32_t endpoint_id) {
   LIMONCELLO_DCHECK(endpoint_id <
                     static_cast<std::uint32_t>(options_.num_endpoints));
   return shard.endpoints[slot_of_[endpoint_id]];
-}
-
-void ControlPlane::ApplyIntent(Shard& shard, EndpointState& endpoint) {
-  if (endpoint.hardware_enabled == endpoint.intent_enabled) {
-    endpoint.retry_pending = false;
-    return;
-  }
-  const bool enable = endpoint.intent_enabled;
-  if (actuate_(endpoint.endpoint_id, enable)) {
-    endpoint.hardware_enabled = enable;
-    endpoint.retry_pending = false;
-    endpoint.retry_delay_ticks = 1;
-    if (enable) {
-      ++shard.stats.enables;
-    } else {
-      ++shard.stats.disables;
-    }
-    endpoint.journal_dirty = true;
-    return;
-  }
-  ++shard.stats.actuation_failures;
-  if (endpoint.retry_pending && endpoint.retry_enable == enable) {
-    // A retry just failed: double the backoff up to the cap.
-    endpoint.retry_delay_ticks =
-        std::min(endpoint.retry_delay_ticks * 2,
-                 options_.config.retry_backoff_cap_ticks);
-  } else {
-    endpoint.retry_delay_ticks = 1;
-  }
-  endpoint.retry_pending = true;
-  endpoint.retry_enable = enable;
-  endpoint.retry_wait_ticks = endpoint.retry_delay_ticks;
 }
 
 void ControlPlane::ApplyBatch(Shard& shard, const TelemetryBatch& batch,
@@ -151,7 +148,7 @@ void ControlPlane::ApplyBatch(Shard& shard, const TelemetryBatch& batch,
     ++shard.stats.unknown_endpoints;
     return;
   }
-  EndpointState& endpoint = StateFor(shard, batch.endpoint_id);
+  Endpoint& endpoint = StateFor(shard, batch.endpoint_id);
   // At-most-once: a duplicate, stale, or reordered-behind frame carries
   // a sequence number the endpoint has already consumed. Rejecting it
   // here is what makes transport duplication/replay harmless.
@@ -162,21 +159,16 @@ void ControlPlane::ApplyBatch(Shard& shard, const TelemetryBatch& batch,
   endpoint.last_sequence = batch.sequence;
   endpoint.have_sequence = true;
   endpoint.last_update_tick = tick_;
-  endpoint.failsafe_active = false;
+  ShardActuator hw(actuate_, shard.stats, endpoint.endpoint_id,
+                   endpoint.journal_dirty);
   for (std::uint32_t i = 0; i < batch.num_samples; ++i) {
     const ControllerAction action =
-        endpoint.controller.Tick(batch.utilization[i]);
+        endpoint.controller.OnSample(batch.utilization[i], hw);
     ++shard.stats.samples_accepted;
-    if (action == ControllerAction::kNone) continue;
-    const bool enable = action == ControllerAction::kEnablePrefetchers;
-    if (endpoint.force_active) {
-      // The FSM keeps tracking utilization while forced, but the pin
-      // owns the intent until kClearForce.
-      continue;
+    // A decision the force pin does not override is a committed change.
+    if (action != ControllerAction::kNone && !endpoint.controller.forced()) {
+      endpoint.journal_dirty = true;
     }
-    endpoint.intent_enabled = enable;
-    endpoint.journal_dirty = true;
-    ApplyIntent(shard, endpoint);
   }
   if (now_ns > enqueue_time_ns) {
     shard.latency.Record(now_ns - enqueue_time_ns);
@@ -190,28 +182,22 @@ void ControlPlane::ApplyCommand(Shard& shard,
     ++shard.stats.unknown_endpoints;
     return;
   }
-  EndpointState& endpoint = StateFor(shard, command.endpoint_id);
+  Endpoint& endpoint = StateFor(shard, command.endpoint_id);
+  ShardActuator hw(actuate_, shard.stats, endpoint.endpoint_id,
+                   endpoint.journal_dirty);
   switch (command.kind) {
     case CommandKind::kForceEnable:
-      endpoint.force_active = true;
-      endpoint.force_enabled = true;
-      endpoint.intent_enabled = true;
+      endpoint.controller.Force(true, hw);
       break;
     case CommandKind::kForceDisable:
-      endpoint.force_active = true;
-      endpoint.force_enabled = false;
-      endpoint.intent_enabled = false;
+      endpoint.controller.Force(false, hw);
       break;
     case CommandKind::kClearForce:
-      endpoint.force_active = false;
-      // Hand intent back to the FSM's current opinion.
-      endpoint.intent_enabled =
-          endpoint.controller.PrefetchersShouldBeEnabled();
+      endpoint.controller.ClearForce(hw);
       break;
   }
   ++shard.stats.commands_applied;
   endpoint.journal_dirty = true;
-  ApplyIntent(shard, endpoint);
 }
 
 // limolint:hot-path — consumer side: pop, decode, FSM tick, actuate.
@@ -252,38 +238,19 @@ int ControlPlane::DrainAll(std::uint64_t now_ns) {
 }
 
 void ControlPlane::AdvanceTick() {
-  ++tick_;
-  const std::uint64_t stale_after =
-      static_cast<std::uint64_t>(options_.config.max_missed_samples);
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(&shard.mu);
-    for (EndpointState& endpoint : shard.endpoints) {
-      // Retry countdown first: a due retry may fix the hardware before
-      // the staleness check piles a fail-safe on top.
-      if (endpoint.retry_pending) {
-        if (endpoint.retry_wait_ticks > 0) {
-          --endpoint.retry_wait_ticks;
-          ++shard.stats.retry_backoff_skips;
-        }
-        if (endpoint.retry_wait_ticks == 0) {
-          ApplyIntent(shard, endpoint);
-        }
-      }
-      // Staleness fail-safe: an endpoint the plane has not heard from
-      // for max_missed_samples ticks gets the hardware default back —
-      // prefetchers ON — and a reset FSM, exactly like the single-
-      // socket daemon's missing-telemetry path. Operator-forced
-      // endpoints are exempt: a force pin is an explicit decision, not
-      // a decision starved of data.
-      if (!endpoint.force_active && !endpoint.failsafe_active &&
-          tick_ - endpoint.last_update_tick > stale_after) {
-        endpoint.failsafe_active = true;
-        endpoint.controller.Reset();
-        endpoint.intent_enabled = true;
+    for (Endpoint& endpoint : shard.endpoints) {
+      ShardActuator hw(actuate_, shard.stats, endpoint.endpoint_id,
+                       endpoint.journal_dirty);
+      // Close the tick. The silent run is the ticks since the last
+      // accepted batch, 0 when the closing tick had one.
+      if (endpoint.controller.OnSilentTick(tick_ - endpoint.last_update_tick,
+                                            hw)) {
         // Forget the sequence watermark along with the FSM: a silent
-        // endpoint that comes back is usually a restarted exporter
-        // whose sequence numbers begin again at 1, and holding the old
+        // endpoint that comes back is usually a restarted exporter whose
+        // sequence numbers begin again at 1, and holding the old
         // watermark would reject every frame it ever sends. Stale
         // replays of the *previous* incarnation are already absorbed —
         // the fail-safe has reset the FSM to the state a fresh stream
@@ -292,10 +259,15 @@ void ControlPlane::AdvanceTick() {
         endpoint.last_sequence = 0;
         endpoint.journal_dirty = true;
         ++shard.stats.stale_endpoint_failsafes;
-        ApplyIntent(shard, endpoint);
+      }
+      // Open the next: a due retry fires before its telemetry drains.
+      if (endpoint.controller.retry_pending() &&
+          endpoint.controller.AdvanceRetry(hw)) {
+        ++shard.stats.retry_backoff_skips;
       }
     }
   }
+  ++tick_;
 }
 
 EndpointPersistentState ControlPlane::ExportEndpoint(
@@ -304,15 +276,16 @@ EndpointPersistentState ControlPlane::ExportEndpoint(
                    static_cast<std::uint32_t>(options_.num_endpoints));
   Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
   MutexLock lock(&shard.mu);
-  const EndpointState& endpoint = StateFor(shard, endpoint_id);
+  const Endpoint& endpoint = StateFor(shard, endpoint_id);
+  const EndpointController::State core = endpoint.controller.Export();
   EndpointPersistentState record;
   record.endpoint_id = endpoint_id;
-  record.controller_state = endpoint.controller.state();
-  record.timer_ns = endpoint.controller.timer_ns();
-  record.toggle_count = endpoint.controller.toggle_count();
-  record.intent_enabled = endpoint.intent_enabled;
-  record.force_active = endpoint.force_active;
-  record.force_enabled = endpoint.force_enabled;
+  record.controller_state = core.controller_state;
+  record.timer_ns = core.timer_ns;
+  record.toggle_count = core.toggle_count;
+  record.intent_enabled = core.intent_enabled;
+  record.force_active = core.force_active;
+  record.force_enabled = core.force_enabled;
   record.last_sequence = endpoint.last_sequence;
   record.have_sequence = endpoint.have_sequence;
   record.last_update_tick = endpoint.last_update_tick;
@@ -337,7 +310,7 @@ void ControlPlane::CollectDirtyEndpoints(
     bool dirty = false;
     {
       MutexLock lock(&shard.mu);
-      EndpointState& endpoint = StateFor(shard, id);
+      Endpoint& endpoint = StateFor(shard, id);
       dirty = endpoint.journal_dirty;
       endpoint.journal_dirty = false;
     }
@@ -356,52 +329,44 @@ int ControlPlane::RestoreEndpoints(
     Shard& shard =
         *shards_[static_cast<std::size_t>(ShardOf(record.endpoint_id))];
     MutexLock lock(&shard.mu);
-    EndpointState& endpoint = StateFor(shard, record.endpoint_id);
-    // The FSM validates its own snapshot (enum range, timer inside the
-    // sustain window); a violation leaves this endpoint cold-started.
-    if (!endpoint.controller.RestoreState(record.controller_state,
-                                          record.timer_ns,
-                                          record.toggle_count)) {
-      continue;
-    }
-    // A forced record must pin the same intent it claims.
-    if (record.force_active &&
-        record.force_enabled != record.intent_enabled) {
-      endpoint.controller.Reset();
-      continue;
-    }
-    endpoint.intent_enabled = record.intent_enabled;
-    endpoint.force_active = record.force_active;
-    endpoint.force_enabled = record.force_enabled;
+    Endpoint& endpoint = StateFor(shard, record.endpoint_id);
+    EndpointController::State core;
+    core.controller_state = record.controller_state;
+    core.timer_ns = record.timer_ns;
+    core.toggle_count = record.toggle_count;
+    core.intent_enabled = record.intent_enabled;
+    core.force_active = record.force_active;
+    core.force_enabled = record.force_enabled;
+    // A violation leaves this endpoint cold-started.
+    if (!endpoint.controller.Restore(core)) continue;
     endpoint.last_sequence = record.last_sequence;
     endpoint.have_sequence = record.have_sequence;
     // Restart resets the staleness clock: the endpoint gets a full
     // window to be heard from before the fail-safe fires.
     endpoint.last_update_tick = tick_;
-    endpoint.failsafe_active = false;
     ++shard.stats.warm_restores;
     ++adopted;
     // Journal intent wins over whatever the hardware drifted to while
     // the plane was down: re-assert unconditionally.
-    endpoint.hardware_enabled = !endpoint.intent_enabled;
-    ApplyIntent(shard, endpoint);
+    ShardActuator hw(actuate_, shard.stats, endpoint.endpoint_id,
+                     endpoint.journal_dirty);
+    (void)endpoint.controller.Reassert(hw);
   }
   return adopted;
 }
 
 ControlPlane::Stats ControlPlane::SnapshotStats() {
   Stats total;
+  const BoundedControlQueue::Counters queue = SnapshotQueueCounters();
+  total.frames_ingested = queue.telemetry_pushed;
+  total.frames_shed = queue.telemetry_shed;
+  total.frames_rejected = queue.telemetry_rejected;
+  total.commands_ingested = queue.commands_pushed;
+  total.command_overflows = queue.command_overflows;
+  total.backpressure_signals = queue.backpressure_signals;
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    const BoundedControlQueue::Counters queue =
-        shard.queue.SnapshotCounters();
     MutexLock lock(&shard.mu);
-    total.frames_ingested += queue.telemetry_pushed.value();
-    total.frames_shed += queue.telemetry_shed.value();
-    total.frames_rejected += queue.telemetry_rejected.value();
-    total.commands_ingested += queue.commands_pushed.value();
-    total.command_overflows += queue.command_overflows.value();
-    total.backpressure_signals += queue.backpressure_signals.value();
     const Stats& s = shard.stats;
     total.frames_decoded += s.frames_decoded.value();
     total.decode_failures += s.decode_failures.value();
@@ -447,36 +412,28 @@ BoundedControlQueue::Counters ControlPlane::SnapshotQueueCounters() {
 }
 
 bool ControlPlane::EndpointIntentEnabled(std::uint32_t endpoint_id) {
-  LIMONCELLO_CHECK(endpoint_id <
-                   static_cast<std::uint32_t>(options_.num_endpoints));
-  Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
-  MutexLock lock(&shard.mu);
-  return StateFor(shard, endpoint_id).intent_enabled;
+  return ReadEndpoint(endpoint_id).intent_enabled();
 }
 
 ControllerState ControlPlane::EndpointControllerState(
     std::uint32_t endpoint_id) {
-  LIMONCELLO_CHECK(endpoint_id <
-                   static_cast<std::uint32_t>(options_.num_endpoints));
-  Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
-  MutexLock lock(&shard.mu);
-  return StateFor(shard, endpoint_id).controller.state();
+  return ReadEndpoint(endpoint_id).fsm().state();
 }
 
 bool ControlPlane::EndpointInFailsafe(std::uint32_t endpoint_id) {
-  LIMONCELLO_CHECK(endpoint_id <
-                   static_cast<std::uint32_t>(options_.num_endpoints));
-  Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
-  MutexLock lock(&shard.mu);
-  return StateFor(shard, endpoint_id).failsafe_active;
+  return ReadEndpoint(endpoint_id).in_failsafe();
 }
 
 bool ControlPlane::EndpointForced(std::uint32_t endpoint_id) {
+  return ReadEndpoint(endpoint_id).forced();
+}
+
+EndpointController ControlPlane::ReadEndpoint(std::uint32_t endpoint_id) {
   LIMONCELLO_CHECK(endpoint_id <
                    static_cast<std::uint32_t>(options_.num_endpoints));
   Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
   MutexLock lock(&shard.mu);
-  return StateFor(shard, endpoint_id).force_active;
+  return StateFor(shard, endpoint_id).controller;
 }
 
 }  // namespace limoncello

@@ -1,11 +1,11 @@
 // Sharded fleet control plane: one daemon, many endpoints.
 //
-// The single-socket LimoncelloDaemon (core/daemon.h) runs one hysteresis
-// FSM against one telemetry source. The ControlPlane scales that design
-// sideways: one process ingests telemetry batches from N endpoints over
-// a CRC-framed wire format, runs an independent hysteresis FSM per
-// endpoint, and actuates each endpoint's prefetchers through a caller-
-// supplied hook.
+// The single-socket LimoncelloDaemon (core/daemon.h) runs one
+// EndpointController (core/endpoint_controller.h) against one telemetry
+// source. The ControlPlane scales that design sideways: one process
+// ingests telemetry batches from N endpoints over a CRC-framed wire
+// format, steps one EndpointController per endpoint, and actuates each
+// endpoint's prefetchers through a caller-supplied hook.
 //
 // Architecture (DESIGN.md §15):
 //
@@ -52,6 +52,7 @@
 #include "control/bounded_queue.h"
 #include "control/telemetry_batch.h"
 #include "core/controller_config.h"
+#include "core/endpoint_controller.h"
 #include "core/hysteresis_controller.h"
 #include "stats/saturating.h"
 #include "util/mutex.h"
@@ -174,10 +175,12 @@ class ControlPlane {
   // Serial convenience: drains every shard in shard order.
   int DrainAll(std::uint64_t now_ns);
 
-  // Advances the plane's tick: per-endpoint staleness sweep (silence
-  // past max_missed_samples ticks forces prefetchers ON and resets the
-  // FSM — the paper's fail-safe) and actuation-retry backoff countdown.
-  // Call once per tick period, after draining. Not concurrent with
+  // Closes the current tick and opens the next. Per endpoint: a run of
+  // max_missed_samples ticks without an accepted batch trips the
+  // fail-safe (prefetchers ON, FSM reset; EndpointController), then a
+  // pending actuation retry counts down or fires. tick() still reads the
+  // closing tick while this runs. Call once per tick period, after
+  // draining. Not concurrent with
   // drains: the control loop is drain phase → tick phase (drains may
   // parallelize across shards *within* the drain phase).
   void AdvanceTick();
@@ -195,7 +198,7 @@ class ControlPlane {
   void CollectDirtyEndpoints(std::vector<EndpointPersistentState>* out);
 
   // Adopts journal-recovered endpoint records. Each record is validated
-  // (id in range, FSM invariants via HysteresisController::RestoreState,
+  // (id in range, then EndpointController::Restore: FSM invariants and
   // force/intent consistency); invalid records are skipped — that
   // endpoint cold-starts. For every adopted record the restored intent
   // is re-asserted through the actuator: the journal holds decisions
@@ -222,25 +225,17 @@ class ControlPlane {
   int num_shards() const { return options_.num_shards; }
 
  private:
-  struct EndpointState {
-    explicit EndpointState(const ControllerConfig& config)
-        : controller(config) {}
+  // One endpoint: its controller core plus the plane's transport-level
+  // state for it.
+  struct Endpoint {
+    Endpoint(const ControllerConfig& config, std::uint32_t id)
+        : controller(config), endpoint_id(id) {}
 
-    HysteresisController controller;
-    std::uint32_t endpoint_id = 0;
-    bool intent_enabled = true;    // what the plane wants
-    bool hardware_enabled = true;  // what the last successful actuation set
-    bool force_active = false;
-    bool force_enabled = true;
-    bool failsafe_active = false;
-    std::uint64_t last_sequence = 0;
+    EndpointController controller;
+    std::uint32_t endpoint_id;
+    std::uint64_t last_sequence = 0;  // at-most-once watermark
     bool have_sequence = false;
-    std::uint64_t last_update_tick = 0;
-    // Capped-exponential actuation retry (mirrors core/daemon.cc).
-    bool retry_pending = false;
-    bool retry_enable = true;
-    int retry_delay_ticks = 1;
-    int retry_wait_ticks = 0;
+    std::uint64_t last_update_tick = 0;  // tick of the last accepted batch
     bool journal_dirty = false;
   };
 
@@ -249,7 +244,7 @@ class ControlPlane {
   struct Shard {
     BoundedControlQueue queue;
     Mutex mu;
-    std::vector<EndpointState> endpoints LIMONCELLO_GUARDED_BY(mu);
+    std::vector<Endpoint> endpoints LIMONCELLO_GUARDED_BY(mu);
     Stats stats LIMONCELLO_GUARDED_BY(mu);
     IngestLatencyHistogram latency LIMONCELLO_GUARDED_BY(mu);
 
@@ -263,14 +258,12 @@ class ControlPlane {
       LIMONCELLO_REQUIRES(shard.mu);
   void ApplyCommand(Shard& shard, const ControlCommand& command)
       LIMONCELLO_REQUIRES(shard.mu);
-  // Moves the hardware toward `endpoint.intent_enabled`; on actuation
-  // failure arms/retains the backoff retry. Counts toggles.
-  void ApplyIntent(Shard& shard, EndpointState& endpoint)
-      LIMONCELLO_REQUIRES(shard.mu);
 
   // endpoint_id must be < num_endpoints (checked).
-  EndpointState& StateFor(Shard& shard, std::uint32_t endpoint_id)
+  Endpoint& StateFor(Shard& shard, std::uint32_t endpoint_id)
       LIMONCELLO_REQUIRES(shard.mu);
+  // A copy of one endpoint's controller, read under its shard's lock.
+  EndpointController ReadEndpoint(std::uint32_t endpoint_id);
 
   ControlPlaneOptions options_;
   ActuateFn actuate_;

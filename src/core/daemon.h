@@ -1,30 +1,28 @@
 // The Limoncello controller daemon: telemetry → FSM → actuation.
 //
 // One daemon instance manages one socket. Each tick (1 s in production) it
-// samples memory-bandwidth utilization, advances the hysteresis FSM, and
-// applies any resulting prefetcher toggle via the actuator.
+// samples memory-bandwidth utilization and steps its EndpointController
+// (core/endpoint_controller.h), which owns the hysteresis FSM, the
+// capped-exponential actuation retry and the missing-telemetry fail-safe
+// (prefetchers forced back on after max_missed_samples silent ticks).
 //
-// Robustness behaviour (beyond the paper's happy path, but required for a
-// deployable daemon — exercised by the fault injector in src/faults/):
-//   * Missing/invalid telemetry: non-finite, negative, or implausibly
-//     large samples are rejected; after max_missed_samples consecutive
-//     failures the daemon fails safe — prefetchers are forced back on
-//     (the hardware default) and the FSM resets.
-//   * Stale telemetry: a sample bit-identical to the previous one
-//     max_stale_samples times in a row is treated as a frozen exporter
-//     and rejected (feeding the same fail-safe path).
-//   * Failed actuation (core offline, MSR write error): the intent is
-//     remembered and retried with capped exponential backoff until it
-//     succeeds.
+// The daemon itself adds only what is specific to one local socket:
+//   * Sample validation: non-finite, negative, or implausibly large
+//     samples are rejected, and a sample bit-identical to the previous
+//     one max_stale_samples times in a row is treated as a frozen
+//     exporter. A missing or rejected sample is a silent tick; the run
+//     of them is what the core's fail-safe trips on.
 //   * Silent state loss (reboot to BIOS default): every
 //     readback_period_ticks the hardware state is read back through the
-//     actuator and the FSM's intent re-asserted on mismatch.
+//     actuator and the intent re-asserted on mismatch.
+//   * Traces, the state listener, and the cumulative Stats.
 #ifndef LIMONCELLO_CORE_DAEMON_H_
 #define LIMONCELLO_CORE_DAEMON_H_
 
 #include <cstdint>
 
 #include "core/actuator.h"
+#include "core/endpoint_controller.h"
 #include "core/hysteresis_controller.h"
 #include "stats/saturating.h"
 #include "stats/time_series.h"
@@ -43,7 +41,7 @@ enum class ReconcileStatus {
 
 const char* ReconcileStatusName(ReconcileStatus status);
 
-class LimoncelloDaemon {
+class LimoncelloDaemon : private EndpointActuator {
  public:
   struct TickRecord {
     SimTimeNs time_ns = 0;
@@ -67,7 +65,7 @@ class LimoncelloDaemon {
     SatCounter retry_backoff_skips;  // ticks spent waiting to retry
     SatCounter reboots_detected;     // readback mismatches
     SatCounter state_reasserts;      // successful re-assertions
-    SatCounter disables;
+    SatCounter disables;             // successful writes
     SatCounter enables;
     SatCounter warm_restores;        // journal snapshots adopted
     SatCounter recovery_reconciles;  // restored intent != hardware
@@ -111,7 +109,10 @@ class LimoncelloDaemon {
   // their trip points); on any violation the daemon is left in its
   // cold-start state and false is returned — corrupt journals degrade
   // to a cold start, never to a daemon running impossible state.
-  // On success the state listener (if any) is told the restored intent.
+  // The restored intent is taken as the hardware state: a pending retry
+  // in the snapshot is not re-armed, ReconcileHardwareState re-asserts
+  // on a readback mismatch. On success the state listener (if any) is
+  // told the restored intent.
   bool RestoreState(const PersistentState& state);
 
   // Warm-restart reconciliation: reads the hardware prefetcher state
@@ -130,7 +131,7 @@ class LimoncelloDaemon {
     state_listener_ = std::move(listener);
   }
 
-  const HysteresisController& controller() const { return controller_; }
+  const HysteresisController& controller() const { return core_.fsm(); }
   const Stats& stats() const { return stats_; }
 
   // 1 = prefetchers commanded on, 0 = commanded off (for Fig. 9 traces).
@@ -144,11 +145,9 @@ class LimoncelloDaemon {
   void set_trace_recording(bool enabled) { trace_recording_ = enabled; }
 
  private:
-  bool Actuate(ControllerAction action);
-  // Runs the pending-retry state machine (backoff countdown + retry).
-  void TickPendingRetry();
-  // Records a fresh actuation failure and arms the first retry.
-  void ArmRetry(ControllerAction action);
+  // EndpointActuator: one write through the actuator, counted, and
+  // announced to the state listener on success.
+  bool Actuate(bool enable) override;
   // Sample validation: non-finite/out-of-range and frozen-exporter
   // rejection. Returns nullopt (and bumps the matching counter) when the
   // sample must be treated as missed.
@@ -156,20 +155,11 @@ class LimoncelloDaemon {
   // Periodic MSR readback: detect a silently reset state and re-assert.
   void MaybeReadback();
 
-  // Validation helper for RestoreState: true when every field of the
-  // snapshot satisfies this daemon's config invariants.
-  bool StateRestorable(const PersistentState& state) const;
-
-  ControllerConfig config_;
   UtilizationSource* telemetry_;
   PrefetchActuator* actuator_;
-  HysteresisController controller_;
+  EndpointController core_;
   Stats stats_;
-  int consecutive_missed_ = 0;
-  // Pending actuation that previously failed and must be retried.
-  ControllerAction pending_retry_ = ControllerAction::kNone;
-  int retry_delay_ticks_ = 1;  // current backoff step
-  int retry_wait_ticks_ = 0;   // ticks left before the next attempt
+  int consecutive_missed_ = 0;  // the current run of missed samples
   // Stale-sample detection: bit pattern of the last accepted sample and
   // the length of the current identical run.
   std::uint64_t last_sample_bits_ = 0;

@@ -55,69 +55,31 @@ bool HysteresisController::RestoreState(ControllerState state,
 
 ControllerAction HysteresisController::Tick(double utilization) {
   LIMONCELLO_DCHECK(utilization >= 0.0);
-  const double ut = config_.upper_threshold;
-  const double lt = config_.lower_threshold;
-
-  switch (state_) {
-    case ControllerState::kEnabledSteady:
-      if (utilization > ut) {
-        state_ = ControllerState::kEnabledArming;
-        timer_ns_ = config_.tick_period_ns;
-        if (timer_ns_ >= config_.sustain_duration_ns) {
-          state_ = ControllerState::kDisabledSteady;
-          timer_ns_ = 0;
-          ++toggle_count_;
-          return ControllerAction::kDisablePrefetchers;
-        }
-      }
-      return ControllerAction::kNone;
-
-    case ControllerState::kEnabledArming:
-      if (utilization <= ut) {
-        // Excursion ended before Δ: back to steady, timer cleared.
-        state_ = ControllerState::kEnabledSteady;
-        timer_ns_ = 0;
-        return ControllerAction::kNone;
-      }
-      timer_ns_ += config_.tick_period_ns;
-      if (timer_ns_ >= config_.sustain_duration_ns) {
-        state_ = ControllerState::kDisabledSteady;
-        timer_ns_ = 0;
-        ++toggle_count_;
-        return ControllerAction::kDisablePrefetchers;
-      }
-      return ControllerAction::kNone;
-
-    case ControllerState::kDisabledSteady:
-      if (utilization < lt) {
-        state_ = ControllerState::kDisabledArming;
-        timer_ns_ = config_.tick_period_ns;
-        if (timer_ns_ >= config_.sustain_duration_ns) {
-          state_ = ControllerState::kEnabledSteady;
-          timer_ns_ = 0;
-          ++toggle_count_;
-          return ControllerAction::kEnablePrefetchers;
-        }
-      }
-      return ControllerAction::kNone;
-
-    case ControllerState::kDisabledArming:
-      if (utilization >= lt) {
-        state_ = ControllerState::kDisabledSteady;
-        timer_ns_ = 0;
-        return ControllerAction::kNone;
-      }
-      timer_ns_ += config_.tick_period_ns;
-      if (timer_ns_ >= config_.sustain_duration_ns) {
-        state_ = ControllerState::kEnabledSteady;
-        timer_ns_ = 0;
-        ++toggle_count_;
-        return ControllerAction::kEnablePrefetchers;
-      }
-      return ControllerAction::kNone;
+  const bool enabled = PrefetchersShouldBeEnabled();
+  // Past the threshold that arms the next toggle: above UT while the
+  // prefetchers are on, below LT while they are off.
+  const bool beyond = enabled ? utilization > config_.upper_threshold
+                              : utilization < config_.lower_threshold;
+  if (!beyond) {
+    // Any excursion ends before Δ: back to steady, timer cleared.
+    state_ = enabled ? ControllerState::kEnabledSteady
+                     : ControllerState::kDisabledSteady;
+    timer_ns_ = 0;
+    return ControllerAction::kNone;
   }
-  LIMONCELLO_CHECK(false);
-  return ControllerAction::kNone;
+  timer_ns_ += config_.tick_period_ns;
+  if (timer_ns_ < config_.sustain_duration_ns) {
+    state_ = enabled ? ControllerState::kEnabledArming
+                     : ControllerState::kDisabledArming;
+    return ControllerAction::kNone;
+  }
+  // Sustained for Δ: toggle.
+  state_ = enabled ? ControllerState::kDisabledSteady
+                   : ControllerState::kEnabledSteady;
+  timer_ns_ = 0;
+  ++toggle_count_;
+  return enabled ? ControllerAction::kDisablePrefetchers
+                 : ControllerAction::kEnablePrefetchers;
 }
 
 }  // namespace limoncello

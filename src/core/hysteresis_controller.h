@@ -56,10 +56,15 @@ class HysteresisController {
   bool RestoreState(ControllerState state, SimTimeNs timer_ns,
                     std::uint64_t toggle_count);
 
+  // True for the two states that keep prefetchers on.
+  static bool EnablesPrefetchers(ControllerState state) {
+    return state == ControllerState::kEnabledSteady ||
+           state == ControllerState::kEnabledArming;
+  }
+
   ControllerState state() const { return state_; }
   bool PrefetchersShouldBeEnabled() const {
-    return state_ == ControllerState::kEnabledSteady ||
-           state_ == ControllerState::kEnabledArming;
+    return EnablesPrefetchers(state_);
   }
   SimTimeNs timer_ns() const { return timer_ns_; }
   std::uint64_t toggle_count() const { return toggle_count_; }

@@ -22,7 +22,118 @@ namespace {
 // gigabytes of garbage as one record.
 constexpr std::uint32_t kMaxPayloadBytes = 4096;
 
+// Reads the journal at `path` and walks its CRC-framed records. Each
+// intact record of the current version goes to `decode`, which returns
+// false for a payload that fails its own checks. Torn or corrupt data
+// stops the scan (framing past it cannot be trusted); an intact record
+// of another version is skipped. Never crashes on any input.
+template <typename Decode>
+void ScanJournal(const std::string& path, std::uint32_t magic,
+                 std::uint32_t version, std::size_t payload_bytes,
+                 JournalScan* scan, Decode decode) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return;  // no file: plain cold start
+  scan->file_found = true;
+  std::vector<unsigned char> data;
+  unsigned char chunk[4096];
+  for (;;) {
+    const ssize_t n = ReadChunk(fd, chunk, sizeof(chunk));
+    if (n < 0) {
+      ++scan->corrupt_records;  // unreadable counts as corrupt
+      (void)::close(fd);
+      return;
+    }
+    if (n == 0) break;
+    data.insert(data.end(), chunk, chunk + n);
+  }
+  (void)::close(fd);
+
+  constexpr std::size_t kHeader = 12;  // magic | version | size
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const std::size_t remaining = data.size() - off;
+    if (remaining < kHeader) {
+      ++scan->torn_records;
+      return;
+    }
+    if (LoadU32(&data[off]) != magic) {
+      ++scan->corrupt_records;
+      return;
+    }
+    const std::uint32_t record_version = LoadU32(&data[off + 4]);
+    const std::uint32_t payload_size = LoadU32(&data[off + 8]);
+    if (payload_size > kMaxPayloadBytes) {
+      ++scan->corrupt_records;
+      return;
+    }
+    if (remaining < kHeader + payload_size + 4) {
+      ++scan->torn_records;
+      return;
+    }
+    const std::uint32_t crc = Crc32(&data[off + 4], 8 + payload_size);
+    if (crc != LoadU32(&data[off + kHeader + payload_size])) {
+      ++scan->corrupt_records;
+      return;
+    }
+    if (record_version == version && payload_size == payload_bytes) {
+      if (!decode(&data[off + kHeader])) {
+        ++scan->corrupt_records;
+        return;
+      }
+      ++scan->valid_records;
+    } else {
+      ++scan->version_mismatches;  // intact frame from another binary
+    }
+    off += kHeader + payload_size + 4;
+  }
+}
+
 }  // namespace
+
+JournalFile::JournalFile(const std::string& path)
+    : path_(path), tmp_path_(path + ".tmp") {
+  LIMONCELLO_CHECK(!path.empty());
+}
+
+JournalFile::~JournalFile() {
+  if (fd_ >= 0) (void)::close(fd_);
+}
+
+bool JournalFile::AppendBytes(const unsigned char* data, std::size_t size,
+                              bool sync) {
+  if (fd_ < 0) {
+    // One open per journal lifetime (or per snapshot); the descriptor
+    // is cached across appends.
+    fd_ = ::open(  // limolint:allow(hot-path-blocking)
+        path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+    if (fd_ < 0) return false;
+  }
+  if (!WriteFully(fd_, data, size)) return false;
+  // The designed durability point: an append is not an append until it
+  // is on stable storage.
+  return !sync || ::fsync(fd_) == 0;  // limolint:allow(hot-path-blocking)
+}
+
+// limolint:cold-path — snapshots (compaction, shutdown) are a designed
+// heavyweight rarity whose tmp+fsync+rename dance is the crash-safety
+// mechanism itself.
+bool JournalFile::ReplaceWith(const unsigned char* data, std::size_t size) {
+  // The rename replaces the journal's inode; a kept-open append
+  // descriptor would keep writing to the orphaned old file.
+  if (fd_ >= 0) {
+    (void)::close(fd_);
+    fd_ = -1;
+  }
+  const int fd = ::open(tmp_path_.c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  bool ok = WriteFully(fd, data, size);
+  // fsync before rename: the atomicity argument needs the new contents
+  // durable before the new name points at them.
+  ok = ::fsync(fd) == 0 && ok;
+  ok = ::close(fd) == 0 && ok;
+  return ok && std::rename(tmp_path_.c_str(), path_.c_str()) == 0;
+}
 
 void StateJournal::EncodeRecord(
     const LimoncelloDaemon::PersistentState& state, unsigned char* out) {
@@ -86,28 +197,8 @@ bool StateJournal::DecodePayload(const unsigned char* p,
 }
 
 StateJournal::StateJournal(const Options& options)
-    : options_(options), tmp_path_(options.path + ".tmp") {
-  LIMONCELLO_CHECK(!options.path.empty());
+    : options_(options), file_(options.path) {
   LIMONCELLO_CHECK_GE(options.compact_every_appends, 1);
-}
-
-StateJournal::~StateJournal() { CloseAppendFd(); }
-
-bool StateJournal::EnsureOpenForAppend() {
-  if (fd_ >= 0) return true;
-  // One open per journal lifetime (or per compaction); the descriptor
-  // is cached across appends.
-  fd_ = ::open(  // limolint:allow(hot-path-blocking)
-      options_.path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-      0644);
-  return fd_ >= 0;
-}
-
-void StateJournal::CloseAppendFd() {
-  if (fd_ >= 0) {
-    (void)::close(fd_);
-    fd_ = -1;
-  }
 }
 
 // limolint:hot-path — the journaled persistence path runs on every daemon
@@ -119,19 +210,9 @@ bool StateJournal::Append(
     // Compaction folds the newest state in: the snapshot IS the record.
     return WriteSnapshot(state);
   }
-  if (!EnsureOpenForAppend()) {
-    ++stats_.io_errors;
-    return false;
-  }
   EncodeRecord(state, scratch_.data());
-  if (!WriteFully(fd_, scratch_.data(), kRecordBytes)) {
-    ++stats_.io_errors;
-    return false;
-  }
-  // The designed durability point: an append is not an append until it
-  // is on stable storage.
-  if (options_.fsync_each_append &&
-      ::fsync(fd_) != 0) {  // limolint:allow(hot-path-blocking)
+  if (!file_.AppendBytes(scratch_.data(), kRecordBytes,
+                         options_.fsync_each_append)) {
     ++stats_.io_errors;
     return false;
   }
@@ -141,29 +222,11 @@ bool StateJournal::Append(
 }
 
 // limolint:cold-path — compaction: one snapshot per compact_every_appends
-// appends (or shutdown), a designed heavyweight rarity whose tmp+fsync+
-// rename dance is the crash-safety mechanism itself.
+// appends (or shutdown).
 bool StateJournal::WriteSnapshot(
     const LimoncelloDaemon::PersistentState& state) {
-  // The rename below replaces the journal's inode; a kept-open append
-  // descriptor would keep writing to the orphaned old file.
-  CloseAppendFd();
   EncodeRecord(state, scratch_.data());
-  const int fd = ::open(tmp_path_.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    ++stats_.io_errors;
-    return false;
-  }
-  bool ok = WriteFully(fd, scratch_.data(), kRecordBytes);
-  // fsync before rename: the atomicity argument needs the new contents
-  // durable before the new name points at them.
-  ok = ::fsync(fd) == 0 && ok;
-  ok = ::close(fd) == 0 && ok;
-  if (ok) {
-    ok = std::rename(tmp_path_.c_str(), options_.path.c_str()) == 0;
-  }
-  if (!ok) {
+  if (!file_.ReplaceWith(scratch_.data(), kRecordBytes)) {
     ++stats_.io_errors;
     return false;
   }
@@ -174,67 +237,13 @@ bool StateJournal::WriteSnapshot(
 
 JournalReplay StateJournal::Replay(const std::string& path) {
   JournalReplay replay;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return replay;  // no file: plain cold start
-  replay.file_found = true;
-  std::vector<unsigned char> data;
-  unsigned char chunk[4096];
-  for (;;) {
-    const ssize_t n = ReadChunk(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      ++replay.corrupt_records;  // unreadable counts as corrupt
-      (void)::close(fd);
-      return replay;
-    }
-    if (n == 0) break;
-    data.insert(data.end(), chunk, chunk + n);
-  }
-  (void)::close(fd);
-
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const std::size_t remaining = data.size() - off;
-    if (remaining < kHeaderBytes) {
-      ++replay.torn_records;
-      break;
-    }
-    if (LoadU32(&data[off]) != kMagic) {
-      ++replay.corrupt_records;
-      break;
-    }
-    const std::uint32_t version = LoadU32(&data[off + 4]);
-    const std::uint32_t payload_size = LoadU32(&data[off + 8]);
-    if (payload_size > kMaxPayloadBytes) {
-      ++replay.corrupt_records;
-      break;
-    }
-    if (remaining < kHeaderBytes + payload_size + 4) {
-      ++replay.torn_records;
-      break;
-    }
-    const std::uint32_t crc = Crc32(&data[off + 4], 8 + payload_size);
-    if (crc != LoadU32(&data[off + kHeaderBytes + payload_size])) {
-      // Framing beyond a checksum failure cannot be trusted: stop and
-      // keep whatever was valid before it.
-      ++replay.corrupt_records;
-      break;
-    }
-    if (version != kVersion || payload_size != kPayloadBytes) {
-      // Intact record from another binary version: skip it, keep
-      // scanning — framing is still sound.
-      ++replay.version_mismatches;
-      off += kHeaderBytes + payload_size + 4;
-      continue;
-    }
-    LimoncelloDaemon::PersistentState state;
-    if (!StateJournal::DecodePayload(&data[off + kHeaderBytes], &state)) {
-      ++replay.corrupt_records;
-      break;
-    }
-    replay.state = state;
-    ++replay.valid_records;
-    off += kRecordBytes;
-  }
+  ScanJournal(path, kMagic, kVersion, kPayloadBytes, &replay,
+              [&replay](const unsigned char* payload) {
+                LimoncelloDaemon::PersistentState state;
+                if (!DecodePayload(payload, &state)) return false;
+                replay.state = state;
+                return true;
+              });
   return replay;
 }
 
@@ -278,38 +287,12 @@ bool EndpointStateJournal::DecodePayload(const unsigned char* p,
 }
 
 EndpointStateJournal::EndpointStateJournal(const Options& options)
-    : options_(options), tmp_path_(options.path + ".tmp") {
-  LIMONCELLO_CHECK(!options.path.empty());
-}
-
-EndpointStateJournal::~EndpointStateJournal() { CloseAppendFd(); }
-
-bool EndpointStateJournal::EnsureOpenForAppend() {
-  if (fd_ >= 0) return true;
-  fd_ = ::open(  // limolint:allow(hot-path-blocking)
-      options_.path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-      0644);
-  return fd_ >= 0;
-}
-
-void EndpointStateJournal::CloseAppendFd() {
-  if (fd_ >= 0) {
-    (void)::close(fd_);
-    fd_ = -1;
-  }
-}
+    : fsync_each_append_(options.fsync_each_append), file_(options.path) {}
 
 bool EndpointStateJournal::Append(const EndpointPersistentState& state) {
-  if (!EnsureOpenForAppend()) {
-    ++stats_.io_errors;
-    return false;
-  }
   EncodeRecord(state, scratch_.data());
-  if (!WriteFully(fd_, scratch_.data(), kRecordBytes)) {
-    ++stats_.io_errors;
-    return false;
-  }
-  if (options_.fsync_each_append && ::fsync(fd_) != 0) {
+  if (!file_.AppendBytes(scratch_.data(), kRecordBytes,
+                         fsync_each_append_)) {
     ++stats_.io_errors;
     return false;
   }
@@ -317,35 +300,14 @@ bool EndpointStateJournal::Append(const EndpointPersistentState& state) {
   return true;
 }
 
-// limolint:cold-path — caller-driven compaction on the snapshot cadence;
-// the tmp+fsync+rename dance is the crash-safety mechanism itself.
+// limolint:cold-path — caller-driven compaction on the snapshot cadence.
 bool EndpointStateJournal::WriteSnapshot(
     const std::vector<EndpointPersistentState>& states) {
-  // The rename replaces the journal's inode; a kept-open append
-  // descriptor would keep writing to the orphaned old file.
-  CloseAppendFd();
-  const int fd = ::open(tmp_path_.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    ++stats_.io_errors;
-    return false;
+  std::vector<unsigned char> bytes(states.size() * kRecordBytes);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    EncodeRecord(states[i], bytes.data() + i * kRecordBytes);
   }
-  bool ok = true;
-  for (const EndpointPersistentState& state : states) {
-    EncodeRecord(state, scratch_.data());
-    if (!WriteFully(fd, scratch_.data(), kRecordBytes)) {
-      ok = false;
-      break;
-    }
-  }
-  // fsync before rename: the atomicity argument needs the new contents
-  // durable before the new name points at them.
-  ok = ::fsync(fd) == 0 && ok;
-  ok = ::close(fd) == 0 && ok;
-  if (ok) {
-    ok = std::rename(tmp_path_.c_str(), options_.path.c_str()) == 0;
-  }
-  if (!ok) {
+  if (!file_.ReplaceWith(bytes.data(), bytes.size())) {
     ++stats_.io_errors;
     return false;
   }
@@ -356,66 +318,16 @@ bool EndpointStateJournal::WriteSnapshot(
 EndpointJournalReplay EndpointStateJournal::Replay(
     const std::string& path) {
   EndpointJournalReplay replay;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return replay;  // no file: plain cold start
-  replay.file_found = true;
-  std::vector<unsigned char> data;
-  unsigned char chunk[4096];
-  for (;;) {
-    const ssize_t n = ReadChunk(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      ++replay.corrupt_records;
-      (void)::close(fd);
-      return replay;
-    }
-    if (n == 0) break;
-    data.insert(data.end(), chunk, chunk + n);
-  }
-  (void)::close(fd);
-
   // Newest valid record per endpoint: later records in the file
   // supersede earlier ones (appends land after the snapshot base).
   std::unordered_map<std::uint32_t, EndpointPersistentState> newest;
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const std::size_t remaining = data.size() - off;
-    if (remaining < kHeaderBytes) {
-      ++replay.torn_records;
-      break;
-    }
-    if (LoadU32(&data[off]) != kMagic) {
-      ++replay.corrupt_records;
-      break;
-    }
-    const std::uint32_t version = LoadU32(&data[off + 4]);
-    const std::uint32_t payload_size = LoadU32(&data[off + 8]);
-    if (payload_size > kMaxPayloadBytes) {
-      ++replay.corrupt_records;
-      break;
-    }
-    if (remaining < kHeaderBytes + payload_size + 4) {
-      ++replay.torn_records;
-      break;
-    }
-    const std::uint32_t crc = Crc32(&data[off + 4], 8 + payload_size);
-    if (crc != LoadU32(&data[off + kHeaderBytes + payload_size])) {
-      ++replay.corrupt_records;
-      break;
-    }
-    if (version != kVersion || payload_size != kPayloadBytes) {
-      ++replay.version_mismatches;
-      off += kHeaderBytes + payload_size + 4;
-      continue;
-    }
-    EndpointPersistentState state;
-    if (!DecodePayload(&data[off + kHeaderBytes], &state)) {
-      ++replay.corrupt_records;
-      break;
-    }
-    newest[state.endpoint_id] = state;
-    ++replay.valid_records;
-    off += kRecordBytes;
-  }
+  ScanJournal(path, kMagic, kVersion, kPayloadBytes, &replay,
+              [&newest](const unsigned char* payload) {
+                EndpointPersistentState state;
+                if (!DecodePayload(payload, &state)) return false;
+                newest[state.endpoint_id] = state;
+                return true;
+              });
   replay.states.reserve(newest.size());
   for (const auto& [id, state] : newest) replay.states.push_back(state);
   std::sort(replay.states.begin(), replay.states.end(),

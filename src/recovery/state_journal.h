@@ -36,10 +36,8 @@
 
 namespace limoncello {
 
-// Outcome of replaying a journal file.
-struct JournalReplay {
-  // The newest record that framed, checksummed, and decoded cleanly.
-  std::optional<LimoncelloDaemon::PersistentState> state;
+// What a replay scan met, for both journal formats.
+struct JournalScan {
   std::uint64_t valid_records = 0;
   std::uint64_t version_mismatches = 0;  // intact frame, foreign version
   std::uint64_t corrupt_records = 0;     // bad magic/size/CRC: scan stops
@@ -50,6 +48,37 @@ struct JournalReplay {
     return version_mismatches == 0 && corrupt_records == 0 &&
            torn_records == 0;
   }
+};
+
+// Outcome of replaying a journal file.
+struct JournalReplay : JournalScan {
+  // The newest record that framed, checksummed, and decoded cleanly.
+  std::optional<LimoncelloDaemon::PersistentState> state;
+};
+
+// The file discipline both journals share: records appended through a
+// descriptor opened once and cached, and atomic replacement by temp
+// file + fsync + rename(2), so a reader sees the old file or the new
+// one, never a half-written one.
+class JournalFile {
+ public:
+  explicit JournalFile(const std::string& path);
+  ~JournalFile();
+
+  JournalFile(const JournalFile&) = delete;
+  JournalFile& operator=(const JournalFile&) = delete;
+
+  // Appends `size` bytes, then fsync(2)s when asked. False on IO failure.
+  bool AppendBytes(const unsigned char* data, std::size_t size, bool sync);
+  // Atomically replaces the whole file with `size` bytes.
+  bool ReplaceWith(const unsigned char* data, std::size_t size);
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  std::string tmp_path_;  // precomputed: path_ + ".tmp"
+  int fd_ = -1;           // append descriptor, opened lazily
 };
 
 class StateJournal {
@@ -81,7 +110,6 @@ class StateJournal {
   };
 
   explicit StateJournal(const Options& options);
-  ~StateJournal();
 
   StateJournal(const StateJournal&) = delete;
   StateJournal& operator=(const StateJournal&) = delete;
@@ -103,7 +131,7 @@ class StateJournal {
   static JournalReplay Replay(const std::string& path);
 
   const Stats& stats() const { return stats_; }
-  const std::string& path() const { return options_.path; }
+  const std::string& path() const { return file_.path(); }
 
   // Serialization of one full record into/out of a buffer of at least
   // kRecordBytes. Exposed for tests that hand-craft corrupt files.
@@ -113,12 +141,8 @@ class StateJournal {
                             LimoncelloDaemon::PersistentState* out);
 
  private:
-  bool EnsureOpenForAppend();
-  void CloseAppendFd();
-
   Options options_;
-  std::string tmp_path_;  // precomputed: options_.path + ".tmp"
-  int fd_ = -1;           // append descriptor, opened lazily
+  JournalFile file_;
   int appends_since_compaction_ = 0;
   Stats stats_;
   // Scratch for Append/WriteSnapshot so the hot path never allocates.
@@ -126,19 +150,9 @@ class StateJournal {
 };
 
 // Outcome of replaying a per-endpoint control-plane journal.
-struct EndpointJournalReplay {
+struct EndpointJournalReplay : JournalScan {
   // Newest fully valid record per endpoint, ascending endpoint id.
   std::vector<EndpointPersistentState> states;
-  std::uint64_t valid_records = 0;
-  std::uint64_t version_mismatches = 0;  // intact frame, foreign version
-  std::uint64_t corrupt_records = 0;     // bad magic/size/CRC: scan stops
-  std::uint64_t torn_records = 0;        // file ends mid-record
-  bool file_found = false;
-
-  bool Clean() const {
-    return version_mismatches == 0 && corrupt_records == 0 &&
-           torn_records == 0;
-  }
 };
 
 // Crash-safe persistence for the sharded control plane: the same framing
@@ -174,7 +188,6 @@ class EndpointStateJournal {
   };
 
   explicit EndpointStateJournal(const Options& options);
-  ~EndpointStateJournal();
 
   EndpointStateJournal(const EndpointStateJournal&) = delete;
   EndpointStateJournal& operator=(const EndpointStateJournal&) = delete;
@@ -193,7 +206,7 @@ class EndpointStateJournal {
   static EndpointJournalReplay Replay(const std::string& path);
 
   const Stats& stats() const { return stats_; }
-  const std::string& path() const { return options_.path; }
+  const std::string& path() const { return file_.path(); }
 
   // One-record (de)serialization, exposed for corruption fixtures.
   // DecodePayload validates flag bits; field-level validation against
@@ -204,12 +217,8 @@ class EndpointStateJournal {
                             EndpointPersistentState* out);
 
  private:
-  bool EnsureOpenForAppend();
-  void CloseAppendFd();
-
-  Options options_;
-  std::string tmp_path_;
-  int fd_ = -1;
+  bool fsync_each_append_;
+  JournalFile file_;
   Stats stats_;
   std::array<unsigned char, kRecordBytes> scratch_{};
 };

@@ -7,9 +7,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "control/telemetry_batch.h"
+#include "core/daemon.h"
 #include "core/hysteresis_controller.h"
 #include "util/mutex.h"
 #include "util/rng.h"
@@ -451,6 +453,125 @@ TEST(ControlPlaneTest, SingleEndpointMatchesBareController) {
   const EndpointPersistentState exported = plane.ExportEndpoint(0);
   EXPECT_EQ(exported.toggle_count, reference.toggle_count());
   EXPECT_EQ(exported.timer_ns, reference.timer_ns());
+
+  // The same contract for the single-socket daemon, on a stream with
+  // silent stretches and a window in which every write fails: the daemon
+  // and a 1-endpoint plane must make the same writes on the same ticks
+  // and fail safe on the same ticks, and both must follow a bare FSM that
+  // is reset wherever the fail-safe fires (once per silence episode).
+  struct Write {
+    int tick;
+    bool enable;
+    bool operator==(const Write&) const = default;
+  };
+  constexpr int kStreamTicks = 600;
+  const auto silent = [](int t) {
+    return (t >= 100 && t < 104) || (t >= 150 && t < 175) ||
+           (t >= 230 && t < 240) || (t >= 400 && t < 408);
+  };
+  const auto failing = [](int t) { return t >= 200 && t < 270; };
+
+  // Writes are stamped with the tick they belong to. The daemon's stamp
+  // moves on when it reads the tick's sample, so the retries opening its
+  // tick t + 1 carry t, as do the plane's, which AdvanceTick makes
+  // before its tick counter moves on.
+  struct StreamSource : UtilizationSource {
+    std::optional<double> next;
+    int tick = 0;
+    int* stamp = nullptr;
+    std::optional<double> SampleUtilization() override {
+      *stamp = tick;
+      return next;
+    }
+  };
+  struct RecordingActuator : PrefetchActuator {
+    std::function<bool(bool)> write;
+    bool DisablePrefetchers() override { return write(false); }
+    bool EnablePrefetchers() override { return write(true); }
+  };
+  int daemon_stamp = 0;
+  std::vector<Write> daemon_writes;
+  StreamSource source;
+  source.stamp = &daemon_stamp;
+  RecordingActuator actuator;
+  actuator.write = [&](bool enable) {
+    daemon_writes.push_back({daemon_stamp, enable});
+    return !failing(daemon_stamp);
+  };
+  LimoncelloDaemon daemon(config, &source, &actuator);
+
+  const ControlPlane* stream_plane = nullptr;
+  std::vector<Write> plane_writes;
+  ControlPlane single(SmallPlane(1), [&](std::uint32_t, bool enable) {
+    const int t = static_cast<int>(stream_plane->tick());
+    plane_writes.push_back({t, enable});
+    return !failing(t);
+  });
+  stream_plane = &single;
+
+  HysteresisController bare(config);
+  int bare_silent_run = 0;
+  std::vector<int> daemon_failsafes;
+  std::vector<int> plane_failsafes;
+  std::uint64_t stream_sequence = 1;
+  Rng stream_rng(23);
+  for (int t = 0; t < kStreamTicks; ++t) {
+    const double util = stream_rng.NextDouble();
+    const bool quiet = silent(t);
+    if (quiet) {
+      if (++bare_silent_run == config.max_missed_samples) bare.Reset();
+    } else {
+      bare_silent_run = 0;
+      bare.Tick(util);
+    }
+
+    source.next = quiet ? std::nullopt : std::optional<double>(util);
+    source.tick = t;
+    const std::uint64_t daemon_resets = daemon.stats().failsafe_resets;
+    daemon.RunTick(static_cast<SimTimeNs>(t) * config.tick_period_ns);
+    if (daemon.stats().failsafe_resets > daemon_resets) {
+      daemon_failsafes.push_back(t);
+    }
+
+    const std::uint64_t plane_resets =
+        single.SnapshotStats().stale_endpoint_failsafes;
+    if (!quiet) SendBatch(single, 0, stream_sequence++, util);
+    single.DrainAll(0);
+    single.AdvanceTick();
+    if (single.SnapshotStats().stale_endpoint_failsafes > plane_resets) {
+      plane_failsafes.push_back(t);
+    }
+
+    ASSERT_EQ(daemon.controller().state(), bare.state()) << t;
+    ASSERT_EQ(single.EndpointControllerState(0), bare.state()) << t;
+    ASSERT_EQ(daemon.controller().PrefetchersShouldBeEnabled(),
+              bare.PrefetchersShouldBeEnabled())
+        << t;
+    ASSERT_EQ(single.EndpointIntentEnabled(0),
+              bare.PrefetchersShouldBeEnabled())
+        << t;
+  }
+  // The plane's last AdvanceTick also opened the next tick; let the
+  // daemon open it too (on a silent tick, so its FSM stays put).
+  source.tick = kStreamTicks;
+  source.next = std::nullopt;
+  daemon.RunTick(static_cast<SimTimeNs>(kStreamTicks) * config.tick_period_ns);
+  std::erase_if(daemon_writes,
+                [](const Write& w) { return w.tick >= kStreamTicks; });
+  EXPECT_TRUE(daemon_writes == plane_writes);
+  EXPECT_EQ(daemon_failsafes, plane_failsafes);
+  EXPECT_EQ(daemon_failsafes, (std::vector<int>{154, 234, 404}));
+
+  const LimoncelloDaemon::Stats& ds = daemon.stats();
+  const ControlPlane::Stats ps = single.SnapshotStats();
+  EXPECT_GT(ds.actuation_failures, 0u);
+  EXPECT_GT(ds.retry_backoff_skips, 0u);
+  EXPECT_EQ(ds.actuation_failures, ps.actuation_failures);
+  EXPECT_EQ(ds.retry_backoff_skips, ps.retry_backoff_skips);
+  EXPECT_EQ(ds.enables, ps.enables);
+  EXPECT_EQ(ds.disables, ps.disables);
+  EXPECT_EQ(daemon.controller().toggle_count(), bare.toggle_count());
+  EXPECT_EQ(single.ExportEndpoint(0).toggle_count, bare.toggle_count());
 }
 
 TEST(ControlPlaneTest, LatencyHistogramRecordsAndQuantiles) {

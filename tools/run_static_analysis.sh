@@ -21,7 +21,7 @@
 # The sanitizer stage configures a dedicated build tree
 # (<build-dir>-<sanitizer>) with the matching LIMONCELLO_* option and runs
 # the concurrency-focused tests (mutex, thread pool, parallel fleet) under
-# it. Default sanitizer: asan.
+# it. Default sanitizer: asan. CI runs the tsan pass on every change.
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -92,8 +92,10 @@ echo "=== [3/3] sanitizer pass ($SANITIZER) ==="
 # journal replay parses attacker-grade bytes (torn/corrupt fixtures), so
 # it runs under every sanitizer too. The control plane drains shards in
 # parallel through ThreadPool and calls its actuation hook concurrently,
-# so its suite is here as well.
-SAN_TESTS_REGEX='^(MutexTest|CondVarTest|ThreadPoolTest|FleetParallelTest|FleetChaosTest|DaemonFaultTest|FaultPlanTest|FaultInjectorTest|StateJournalTest|RecoveryManagerTest|WarmRestartTest|ControllerConfigTest|ControlPlaneTest|Limolint|limolint)'
+# so its suite is here as well, with the controller core both adapters
+# step (daemon and plane), the endpoint journal, and the socket transport
+# that feeds the plane and carries its actuation frames.
+SAN_TESTS_REGEX='^(MutexTest|CondVarTest|ThreadPoolTest|FleetParallelTest|FleetChaosTest|DaemonTest|DaemonFaultTest|FaultPlanTest|FaultInjectorTest|StateJournalTest|RecoveryManagerTest|WarmRestartTest|EndpointStateJournalTest|EndpointRecoveryTest|ControllerConfigTest|ControlPlaneTest|ControlChaosTest|ActuationFrameTest|FrameReassemblerTest|SocketTransportTest|Limolint|limolint)'
 case "$SANITIZER" in
   none)
     stage sanitizer SKIP "disabled via --sanitizer=none"
@@ -105,10 +107,12 @@ case "$SANITIZER" in
       stage sanitizer FAIL "configure with ${SAN_OPT}=ON failed"
     elif ! cmake --build "$SAN_DIR" -j "$JOBS" --target \
         mutex_test thread_pool_test fleet_parallel_test \
-        fleet_chaos_test daemon_fault_test fault_plan_test \
+        fleet_chaos_test daemon_test daemon_fault_test fault_plan_test \
         fault_injector_test state_journal_test recovery_manager_test \
-        warm_restart_test controller_config_test control_plane_test \
-        limolint limolint_test >/dev/null; then
+        warm_restart_test \
+        endpoint_journal_test controller_config_test control_plane_test \
+        control_chaos_test actuation_frame_test frame_reassembler_test \
+        socket_transport_test limolint limolint_test >/dev/null; then
       stage sanitizer FAIL "build under ${SAN_OPT} failed"
     elif (cd "$SAN_DIR" && ctest -R "$SAN_TESTS_REGEX" \
         --output-on-failure -j "$JOBS"); then
