@@ -3,8 +3,8 @@
 // Telemetry flows endpoint → plane as LTB1 frames (telemetry_batch.h);
 // decisions flow back plane → endpoint as LAC1 frames carrying one
 // command: set this endpoint's prefetchers to enable/disable. The
-// framing discipline is identical — magic, version, payload size,
-// payload, CRC32 over version + size + payload — so both directions
+// framing discipline is identical — magic, version (2), payload size,
+// payload, CRC-32C over version + size + payload — so both directions
 // share the FrameReassembler and the same resync story when the
 // transport tears a stream mid-frame.
 //
@@ -28,7 +28,7 @@ struct ActuationCommandFrame {
 };
 
 inline constexpr std::uint32_t kActuationFrameMagic = 0x4C414331;  // "LAC1"
-inline constexpr std::uint32_t kActuationFrameVersion = 1;
+inline constexpr std::uint32_t kActuationFrameVersion = 2;
 inline constexpr std::size_t kActuationFrameHeaderBytes = 12;
 inline constexpr std::size_t kActuationFramePayloadBytes = 8;
 inline constexpr std::size_t kActuationFrameBytes =

@@ -276,10 +276,13 @@ EndpointPersistentState ControlPlane::ExportEndpoint(
                    static_cast<std::uint32_t>(options_.num_endpoints));
   Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(endpoint_id))];
   MutexLock lock(&shard.mu);
-  const Endpoint& endpoint = StateFor(shard, endpoint_id);
+  return RecordOf(StateFor(shard, endpoint_id));
+}
+
+EndpointPersistentState ControlPlane::RecordOf(const Endpoint& endpoint) {
   const EndpointController::State core = endpoint.controller.Export();
   EndpointPersistentState record;
-  record.endpoint_id = endpoint_id;
+  record.endpoint_id = endpoint.endpoint_id;
   record.controller_state = core.controller_state;
   record.timer_ns = core.timer_ns;
   record.toggle_count = core.toggle_count;
@@ -304,18 +307,22 @@ std::vector<EndpointPersistentState> ControlPlane::ExportAllEndpoints() {
 
 void ControlPlane::CollectDirtyEndpoints(
     std::vector<EndpointPersistentState>* out) {
-  for (std::uint32_t id = 0;
-       id < static_cast<std::uint32_t>(options_.num_endpoints); ++id) {
-    Shard& shard = *shards_[static_cast<std::size_t>(ShardOf(id))];
-    bool dirty = false;
-    {
-      MutexLock lock(&shard.mu);
-      Endpoint& endpoint = StateFor(shard, id);
-      dirty = endpoint.journal_dirty;
+  const std::size_t first = out->size();
+  for (auto& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
+    MutexLock lock(&shard.mu);
+    for (Endpoint& endpoint : shard.endpoints) {
+      if (!endpoint.journal_dirty) continue;
       endpoint.journal_dirty = false;
+      out->push_back(RecordOf(endpoint));
     }
-    if (dirty) out->push_back(ExportEndpoint(id));
   }
+  // Shards interleave ids; the journal order is by id.
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end(),
+            [](const EndpointPersistentState& a,
+               const EndpointPersistentState& b) {
+              return a.endpoint_id < b.endpoint_id;
+            });
 }
 
 int ControlPlane::RestoreEndpoints(

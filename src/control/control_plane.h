@@ -193,8 +193,9 @@ class ControlPlane {
 
   // Appends to `out` the records of endpoints whose committed state
   // changed since the last collection, in ascending id order, and
-  // clears their dirty marks. The journaling cadence lives with the
-  // caller (cold path) so file IO never rides the drain.
+  // clears their dirty marks. Takes each shard's lock once. The
+  // journaling cadence lives with the caller so file IO never rides the
+  // drain; `out` reused across ticks makes this allocation-free.
   void CollectDirtyEndpoints(std::vector<EndpointPersistentState>* out);
 
   // Adopts journal-recovered endpoint records. Each record is validated
@@ -262,6 +263,9 @@ class ControlPlane {
   // endpoint_id must be < num_endpoints (checked).
   Endpoint& StateFor(Shard& shard, std::uint32_t endpoint_id)
       LIMONCELLO_REQUIRES(shard.mu);
+  // The journal record of one endpoint; the caller holds its shard's
+  // lock.
+  static EndpointPersistentState RecordOf(const Endpoint& endpoint);
   // A copy of one endpoint's controller, read under its shard's lock.
   EndpointController ReadEndpoint(std::uint32_t endpoint_id);
 

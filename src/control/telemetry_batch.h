@@ -1,11 +1,13 @@
 // The control plane's wire format: CRC-framed telemetry batches.
 //
 // Endpoints ship utilization samples to the control daemon as versioned
-// binary frames: magic "LTB1", version, payload size, payload, CRC32
-// (same framing discipline as the state journal — the CRC covers version
-// + size + payload, the magic is frame sync). The payload is one batch:
-// endpoint id, a per-endpoint send sequence number, the exporter tick of
-// the first sample, and up to kMaxSamples utilization doubles.
+// binary frames: magic "LTB1", version (2), payload size, payload,
+// CRC-32C (util/crc32.h; same framing discipline as the state journal —
+// the CRC covers version + size + payload, the magic is frame sync).
+// Version-1 frames, which carried the IEEE CRC-32, are rejected. The
+// payload is one batch: endpoint id, a per-endpoint send sequence
+// number, the exporter tick of the first sample, and up to kMaxSamples
+// utilization doubles.
 //
 // Decode is the trust boundary. Frames arrive over a transport that the
 // chaos layer (src/faults/transport_chaos.h) drops, truncates, reorders,
@@ -44,7 +46,7 @@ struct TelemetryBatch {
 // Framing constants, shared by encode/decode/tests and the queue's slot
 // sizing.
 inline constexpr std::uint32_t kTelemetryBatchMagic = 0x4C544231;  // "LTB1"
-inline constexpr std::uint32_t kTelemetryBatchVersion = 1;
+inline constexpr std::uint32_t kTelemetryBatchVersion = 2;
 inline constexpr std::size_t kTelemetryBatchHeaderBytes = 12;
 inline constexpr std::size_t kTelemetryBatchFixedPayloadBytes = 20;
 inline constexpr std::size_t kMaxTelemetryFrameBytes =

@@ -25,8 +25,9 @@ constexpr std::uint32_t kMaxPayloadBytes = 4096;
 // Reads the journal at `path` and walks its CRC-framed records. Each
 // intact record of the current version goes to `decode`, which returns
 // false for a payload that fails its own checks. Torn or corrupt data
-// stops the scan (framing past it cannot be trusted); an intact record
-// of another version is skipped. Never crashes on any input.
+// stops the scan (framing past it cannot be trusted); a record of
+// another version is skipped when its CRC checks and stops the scan when
+// it does not. Never crashes on any input.
 template <typename Decode>
 void ScanJournal(const std::string& path, std::uint32_t magic,
                  std::uint32_t version, std::size_t payload_bytes,
@@ -70,9 +71,13 @@ void ScanJournal(const std::string& path, std::uint32_t magic,
       ++scan->torn_records;
       return;
     }
-    const std::uint32_t crc = Crc32(&data[off + 4], 8 + payload_size);
-    if (crc != LoadU32(&data[off + kHeader + payload_size])) {
-      ++scan->corrupt_records;
+    if (Crc32(&data[off + 4], 8 + payload_size) !=
+        LoadU32(&data[off + kHeader + payload_size])) {
+      // Another binary's checksum may be another algorithm (version 1
+      // used the IEEE CRC-32), so on a foreign version a mismatch cannot
+      // tell damage from age: it is counted as the version it is.
+      ++(record_version == version ? scan->corrupt_records
+                                   : scan->version_mismatches);
       return;
     }
     if (record_version == version && payload_size == payload_bytes) {
@@ -172,7 +177,7 @@ void StateJournal::EncodeRecord(
 
 bool StateJournal::DecodePayload(const unsigned char* p,
                                  LimoncelloDaemon::PersistentState* out) {
-  if (p[3] != 0) return false;  // reserved byte must be zero in v1
+  if (p[3] != 0) return false;  // reserved byte must be zero
   out->controller_state = static_cast<ControllerState>(p[0]);
   out->pending_retry = static_cast<ControllerAction>(p[1]);
   out->have_last_sample = p[2] != 0;
@@ -287,16 +292,33 @@ bool EndpointStateJournal::DecodePayload(const unsigned char* p,
 }
 
 EndpointStateJournal::EndpointStateJournal(const Options& options)
-    : fsync_each_append_(options.fsync_each_append), file_(options.path) {}
+    : fsync_each_append_(options.fsync_each_append),
+      file_(options.path),
+      batch_(kBatchRecords * kRecordBytes) {}
 
 bool EndpointStateJournal::Append(const EndpointPersistentState& state) {
-  EncodeRecord(state, scratch_.data());
-  if (!file_.AppendBytes(scratch_.data(), kRecordBytes,
-                         fsync_each_append_)) {
-    ++stats_.io_errors;
-    return false;
+  return AppendBatch({&state, 1});
+}
+
+// limolint:hot-path — the control loops' journal stage, once per tick:
+// encodes into the buffer sized at construction, never allocates (the
+// designed ::write/::fsync pair is the one blocking exception).
+bool EndpointStateJournal::AppendBatch(
+    std::span<const EndpointPersistentState> states) {
+  while (!states.empty()) {
+    const std::size_t count = std::min(kBatchRecords, states.size());
+    for (std::size_t i = 0; i < count; ++i) {
+      EncodeRecord(states[i], batch_.data() + i * kRecordBytes);
+    }
+    const bool last = count == states.size();
+    if (!file_.AppendBytes(batch_.data(), count * kRecordBytes,
+                           fsync_each_append_ && last)) {
+      ++stats_.io_errors;
+      return false;
+    }
+    stats_.appends += count;
+    states = states.subspan(count);
   }
-  ++stats_.appends;
   return true;
 }
 

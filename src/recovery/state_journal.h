@@ -1,6 +1,6 @@
 // Crash-safe persistence for the controller daemon's state.
 //
-// A StateJournal is an append-only file of CRC32-protected, versioned
+// A StateJournal is an append-only file of CRC-32C-protected, versioned
 // records, each one a full LimoncelloDaemon::PersistentState snapshot.
 // Appends are cheap (one write(2) of a fixed-size record from a
 // preallocated buffer — the steady-state path never allocates); the
@@ -18,7 +18,9 @@
 // torn/corrupt data stops the scan (framing past it cannot be trusted),
 // while a version mismatch with an intact CRC skips just that record.
 // Replay never crashes on any input; the worst outcome is "no state",
-// which callers treat as a cold start.
+// which callers treat as a cold start. Version-1 files carried the IEEE
+// CRC-32, so their first record fails the check and stops the scan as a
+// version mismatch: a cold start.
 #ifndef LIMONCELLO_RECOVERY_STATE_JOURNAL_H_
 #define LIMONCELLO_RECOVERY_STATE_JOURNAL_H_
 
@@ -26,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,7 +88,7 @@ class StateJournal {
  public:
   // On-disk framing constants (also used by tests to build fixtures).
   static constexpr std::uint32_t kMagic = 0x4C4D4A31;  // "LMJ1"
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
   static constexpr std::size_t kHeaderBytes = 12;  // magic|version|size
   static constexpr std::size_t kPayloadBytes = 148;
   static constexpr std::size_t kRecordBytes =
@@ -170,19 +173,25 @@ struct EndpointJournalReplay : JournalScan {
 class EndpointStateJournal {
  public:
   static constexpr std::uint32_t kMagic = 0x4C454A31;  // "LEJ1"
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
   static constexpr std::size_t kHeaderBytes = 12;  // magic|version|size
   static constexpr std::size_t kPayloadBytes = 44;
   static constexpr std::size_t kRecordBytes =
       kHeaderBytes + kPayloadBytes + 4 /* CRC */;
+  // Records one AppendBatch write(2) carries. A steady control tick
+  // changes a few dozen endpoints (control_wire: ~35 of 1536), so it is
+  // one write; a tick that fail-safes or restores a whole large fleet
+  // goes out in pieces rather than keep a fleet-sized buffer resident.
+  static constexpr std::size_t kBatchRecords = 256;
 
   struct Options {
     std::string path;
+    // fsync(2) after every Append and once per AppendBatch.
     bool fsync_each_append = false;
   };
 
   struct Stats {
-    SatCounter appends;
+    SatCounter appends;  // records, however many writes carried them
     SatCounter snapshots;
     SatCounter io_errors;
   };
@@ -192,9 +201,16 @@ class EndpointStateJournal {
   EndpointStateJournal(const EndpointStateJournal&) = delete;
   EndpointStateJournal& operator=(const EndpointStateJournal&) = delete;
 
-  // Appends one endpoint record. Zero-allocation (fixed scratch buffer,
-  // cached descriptor). Returns false on IO failure (counted).
+  // Appends one endpoint record: AppendBatch of one.
   bool Append(const EndpointPersistentState& state);
+
+  // Appends `states` in order with one write(2) per kBatchRecords
+  // records (and one fsync(2) when fsync_each_append is set). The file
+  // bytes and stats().appends equal those of one Append per record.
+  // Zero-allocation (encode buffer sized at construction, cached
+  // descriptor). Returns false on IO failure (counted); records before
+  // the failed write stay appended.
+  bool AppendBatch(std::span<const EndpointPersistentState> states);
 
   // Atomically replaces the journal with one record per entry of
   // `states`: write temp + fsync + rename. Shutdown flush and the
@@ -220,7 +236,7 @@ class EndpointStateJournal {
   bool fsync_each_append_;
   JournalFile file_;
   Stats stats_;
-  std::array<unsigned char, kRecordBytes> scratch_{};
+  std::vector<unsigned char> batch_;  // kBatchRecords encoded records
 };
 
 }  // namespace limoncello

@@ -1,9 +1,10 @@
 #include "tax/block_hash.h"
 
-#include <array>
+#include <algorithm>
 #include <cstring>
 
 #include "softpf/prefetch.h"
+#include "util/crc32.h"
 #include "util/units.h"
 
 namespace limoncello {
@@ -47,103 +48,6 @@ inline void MaybePrefetch(const char* cursor, const char* end,
   PrefetchReadSpan(cursor + config.distance_bytes, config.degree_bytes, end,
                    config.locality);
 }
-
-// CRC32C (Castagnoli) slicing-by-8 tables, built once. Table 0 is the
-// classic byte-at-a-time table; table k folds a zero byte k more times,
-// so eight table lookups advance the CRC eight input bytes at once. That
-// takes the kernel from one table-dependent chain per byte to one per
-// eight bytes (~6x), which matters here because a byte-at-a-time CRC is
-// so compute-bound that memory latency — and therefore software
-// prefetching — never shows up in its profile.
-const std::array<std::array<std::uint32_t, 256>, 8>& Crc32cTables() {
-  static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
-    std::array<std::array<std::uint32_t, 256>, 8> t{};
-    constexpr std::uint32_t kPoly = 0x82f63b78u;  // reflected 0x1EDC6F41
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1) ? kPoly : 0);
-      }
-      t[0][i] = crc;
-    }
-    for (std::size_t k = 1; k < 8; ++k) {
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
-      }
-    }
-    return t;
-  }();
-  return tables;
-}
-
-// Portable slicing-by-8 main loop (little-endian lane order).
-// limolint:hot-path — datacenter-tax kernel; table lookups only.
-std::uint32_t Crc32cSliced(const char* p, const char* end, std::uint32_t crc,
-                           const SoftPrefetchConfig& config, bool prefetch) {
-  const auto& t = Crc32cTables();
-  std::size_t since_prefetch = 0;
-  while (p + 8 <= end) {
-    if (prefetch && (since_prefetch++ & 31) == 0) {
-      MaybePrefetch(p, end, config, true);
-    }
-    std::uint64_t v = Load64(p) ^ crc;
-    crc = t[7][v & 0xff] ^ t[6][(v >> 8) & 0xff] ^ t[5][(v >> 16) & 0xff] ^
-          t[4][(v >> 24) & 0xff] ^ t[3][(v >> 32) & 0xff] ^
-          t[2][(v >> 40) & 0xff] ^ t[1][(v >> 48) & 0xff] ^
-          t[0][(v >> 56) & 0xff];
-    p += 8;
-  }
-  while (p < end) {
-    crc = t[0][(crc ^ static_cast<std::uint8_t>(*p)) & 0xff] ^ (crc >> 8);
-    ++p;
-  }
-  return crc;
-}
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define LIMONCELLO_HAS_HW_CRC32C 1
-
-// Hardware CRC32C via the SSE4.2 crc32 instruction; compiled with a
-// per-function target attribute so the translation unit itself stays at
-// the baseline ISA, and only entered after a cpuid check. Three
-// independent 8-byte streams per iteration overlap the instruction's
-// 3-cycle latency; the streams are recombined before the next block, so
-// no polynomial-multiplication merge constants are needed. At this speed
-// the kernel is purely memory-bound, which is what lets the tuner's
-// software prefetching show up at all.
-// limolint:hot-path — datacenter-tax kernel; reads the block only.
-__attribute__((target("sse4.2"))) std::uint32_t Crc32cHardware(
-    const char* p, const char* end, std::uint32_t crc,
-    const SoftPrefetchConfig& config, bool prefetch) {
-  unsigned long long c = crc;
-  std::size_t since_prefetch = 0;
-  while (p + 24 <= end) {
-    if (prefetch && (since_prefetch++ & 7) == 0) {
-      MaybePrefetch(p, end, config, true);
-    }
-    c = __builtin_ia32_crc32di(c, Load64(p));
-    c = __builtin_ia32_crc32di(c, Load64(p + 8));
-    c = __builtin_ia32_crc32di(c, Load64(p + 16));
-    p += 24;
-  }
-  while (p + 8 <= end) {
-    c = __builtin_ia32_crc32di(c, Load64(p));
-    p += 8;
-  }
-  auto crc32 = static_cast<unsigned int>(c);
-  while (p < end) {
-    crc32 = __builtin_ia32_crc32qi(crc32,
-                                   static_cast<unsigned char>(*p));
-    ++p;
-  }
-  return crc32;
-}
-
-bool HasHardwareCrc32c() {
-  static const bool has = __builtin_cpu_supports("sse4.2");
-  return has;
-}
-#endif  // x86-64 GNU-compatible
 
 }  // namespace
 
@@ -197,16 +101,26 @@ std::uint64_t BlockHash64(const void* data, std::size_t n,
 // heap.
 std::uint32_t Crc32c(const void* data, std::size_t n,
                      const SoftPrefetchConfig& config) {
+  if (!config.AppliesTo(n)) return Crc32(data, n);
+  // The prefetch cadence of the kernel this loop wraps, which the tuned
+  // table (tuned_params.cc) was measured with: one prefetch per 192 bytes
+  // (eight 24-byte steps of the hardware kernel) or per 256 bytes
+  // (thirty-two 8-byte steps of the portable one), issued while a full
+  // step remains.
+  const bool hardware = Crc32UsesHardware();
+  const std::size_t cadence = hardware ? 192 : 256;
+  const std::size_t min_step = hardware ? 24 : 8;
   const char* p = static_cast<const char*>(data);
   const char* const end = p + n;
-  const bool prefetch = config.AppliesTo(n);
-  std::uint32_t crc = 0xffffffffu;
-#if defined(LIMONCELLO_HAS_HW_CRC32C)
-  if (HasHardwareCrc32c()) {
-    return Crc32cHardware(p, end, crc, config, prefetch) ^ 0xffffffffu;
+  std::uint32_t crc = 0;
+  while (static_cast<std::size_t>(end - p) >= min_step) {
+    MaybePrefetch(p, end, config, true);
+    const std::size_t chunk =
+        std::min(cadence, static_cast<std::size_t>(end - p));
+    crc = Crc32Extend(crc, p, chunk);
+    p += chunk;
   }
-#endif
-  return Crc32cSliced(p, end, crc, config, prefetch) ^ 0xffffffffu;
+  return Crc32Extend(crc, p, static_cast<std::size_t>(end - p));
 }
 
 }  // namespace limoncello

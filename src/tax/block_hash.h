@@ -24,8 +24,9 @@ inline std::uint64_t BlockHash64(const void* data, std::size_t n,
   return BlockHash64(data, n, seed, SoftPrefetchConfig::Disabled());
 }
 
-// CRC32C-style rolling checksum (software table implementation) with the
-// same prefetch treatment; used as a second hashing workload.
+// CRC-32C of [data, data+n): util/crc32's kernel, walked in steps with
+// the same prefetch treatment; used as a second hashing workload. Equals
+// Crc32(data, n) for every config.
 std::uint32_t Crc32c(const void* data, std::size_t n,
                      const SoftPrefetchConfig& config);
 

@@ -10,8 +10,9 @@
 //     bytes until a complete frame is present. Steady state performs
 //     zero heap allocations.
 //   * A frame is surfaced only after its magic, version-independent
-//     length bounds, and CRC32 all check out — the sink never sees a
-//     torn or corrupt frame.
+//     length bounds, and CRC-32C all check out — the sink never sees a
+//     torn or corrupt frame (nor a version-1 frame: its IEEE CRC-32
+//     fails the check).
 //   * Any violation (wrong magic, implausible length, CRC mismatch)
 //     advances the scan by ONE byte and rescans: byte-scan resync, the
 //     same discipline the journal replay uses. A truncated frame costs

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 
+#include "testing/legacy_v1.h"
 #include "util/wire.h"
 
 namespace limoncello {
@@ -82,6 +83,25 @@ TEST(ActuationFrameTest, ForeignMagicAndBadValueNamed) {
 
   EXPECT_STREQ(ActuationDecodeStatusName(ActuationDecodeStatus::kBadValue),
                "bad_value");
+}
+
+// Version-1 actuation frames (IEEE CRC-32) are refused, never applied.
+TEST(ActuationFrameTest, Version1FramesRejected) {
+  ActuationCommandFrame command;
+  command.endpoint_id = 17;
+  command.enable = false;
+  unsigned char frame[kActuationFrameBytes];
+  ASSERT_EQ(EncodeActuationCommand(command, frame), kActuationFrameBytes);
+  RewriteAsVersion1(frame, sizeof(frame));
+  ActuationCommandFrame out;
+  EXPECT_EQ(DecodeActuationCommand(frame, sizeof(frame), &out),
+            ActuationDecodeStatus::kBadVersion);
+
+  StoreU32(frame + 4, kActuationFrameVersion);  // IEEE CRC, current header
+  StoreU32(frame + kActuationFrameBytes - 4,
+           IeeeCrc32(frame + 4, kActuationFrameBytes - 8));
+  EXPECT_EQ(DecodeActuationCommand(frame, sizeof(frame), &out),
+            ActuationDecodeStatus::kBadCrc);
 }
 
 }  // namespace

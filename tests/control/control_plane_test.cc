@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -425,6 +426,38 @@ TEST(ControlPlaneTest, CollectDirtyEndpointsTracksCommittedChanges) {
   dirty.clear();
   plane.CollectDirtyEndpoints(&dirty);
   EXPECT_TRUE(dirty.empty());
+}
+
+// Collection walks shard by shard; the records still come out by id,
+// appended after whatever the caller's vector already holds, and equal
+// to what ExportEndpoint reports.
+TEST(ControlPlaneTest, CollectDirtyEndpointsAppendsInIdOrderAcrossShards) {
+  FakeFleet fleet(64);
+  ControlPlane plane(SmallPlane(64), fleet.Hook());
+  const std::vector<std::uint32_t> touched = {60, 3, 17, 42, 8, 33, 9};
+  for (const std::uint32_t id : touched) {
+    ControlCommand force;
+    force.endpoint_id = id;
+    force.kind = CommandKind::kForceDisable;
+    plane.SubmitCommand(force, 0);
+  }
+  plane.DrainAll(0);
+
+  std::vector<EndpointPersistentState> out(1);
+  out[0].endpoint_id = 999;  // the caller's earlier content stays first
+  plane.CollectDirtyEndpoints(&out);
+  std::vector<std::uint32_t> want = touched;
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(out.size(), want.size() + 1);
+  EXPECT_EQ(out[0].endpoint_id, 999u);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(out[i + 1].endpoint_id, want[i]);
+    EXPECT_TRUE(out[i + 1].force_active);
+    EXPECT_EQ(out[i + 1], plane.ExportEndpoint(want[i]));
+  }
+  out.clear();
+  plane.CollectDirtyEndpoints(&out);
+  EXPECT_TRUE(out.empty());
 }
 
 // The single-endpoint plane must make exactly the decisions a bare

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "control/control_plane.h"
+#include "testing/legacy_v1.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/wire.h"
@@ -279,6 +281,42 @@ TEST(TelemetryBatchTest, RandomMutationsNeverCrashDecode) {
 TEST(TelemetryBatchTest, StatusNamesAreStable) {
   EXPECT_STREQ(BatchDecodeStatusName(BatchDecodeStatus::kOk), "ok");
   EXPECT_STREQ(BatchDecodeStatusName(BatchDecodeStatus::kBadCrc), "bad_crc");
+}
+
+// Frames from a version-1 exporter (IEEE CRC-32) are refused by decode
+// — named by their version — and a current header over an IEEE checksum
+// fails the CRC. Through the plane, neither reaches an endpoint.
+TEST(TelemetryBatchTest, Version1FramesRejected) {
+  std::vector<unsigned char> v1(kMaxTelemetryFrameBytes);
+  v1.resize(EncodeTelemetryBatch(MakeBatch(8), v1.data()));
+  RewriteAsVersion1(v1.data(), v1.size());
+  TelemetryBatch out;
+  EXPECT_EQ(DecodeTelemetryBatch(v1.data(), v1.size(), &out),
+            BatchDecodeStatus::kBadVersion);
+
+  std::vector<unsigned char> ieee_v2 = v1;
+  StoreU32(ieee_v2.data() + 4, kTelemetryBatchVersion);
+  StoreU32(ieee_v2.data() + ieee_v2.size() - 4,
+           IeeeCrc32(ieee_v2.data() + 4, ieee_v2.size() - 8));
+  EXPECT_EQ(DecodeTelemetryBatch(ieee_v2.data(), ieee_v2.size(), &out),
+            BatchDecodeStatus::kBadCrc);
+
+  ControlPlaneOptions options;
+  options.num_endpoints = 64;
+  int writes = 0;
+  ControlPlane plane(options, [&writes](std::uint32_t, bool) {
+    ++writes;
+    return true;
+  });
+  ASSERT_EQ(plane.IngestFrame(v1.data(), v1.size(), 0), PushResult::kOk);
+  ASSERT_EQ(plane.IngestFrame(ieee_v2.data(), ieee_v2.size(), 0),
+            PushResult::kOk);
+  plane.DrainAll(0);
+  const ControlPlane::Stats stats = plane.SnapshotStats();
+  EXPECT_EQ(stats.decode_failures, 2u);
+  EXPECT_EQ(stats.frames_decoded, 0u);
+  EXPECT_EQ(stats.samples_accepted, 0u);
+  EXPECT_EQ(writes, 0);
 }
 
 }  // namespace

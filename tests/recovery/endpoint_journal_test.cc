@@ -1,19 +1,55 @@
-// EndpointStateJournal: append/snapshot/replay round trips and graceful
-// degradation on every flavour of damaged file, plus the end-to-end
-// RecoverEndpointStates path into a ControlPlane.
+// EndpointStateJournal: append/snapshot/replay round trips, batch
+// appends, and graceful degradation on every flavour of damaged file,
+// plus the end-to-end RecoverEndpointStates path into a ControlPlane.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "control/control_plane.h"
 #include "recovery/recovery_manager.h"
 #include "recovery/state_journal.h"
+#include "testing/legacy_v1.h"
 #include "util/crc32.h"
 #include "util/wire.h"
+
+namespace limoncello {
+namespace {
+
+// Allocation probe: every operator new in this binary is counted while
+// g_count_allocs is set (the same probe bench_control_plane's gate uses).
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::uint64_t> g_allocs{0};
+
+}  // namespace
+}  // namespace limoncello
+
+namespace {
+
+void* CountedAlloc(std::size_t size) {
+  if (limoncello::g_count_allocs.load(std::memory_order_relaxed)) {
+    limoncello::g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace limoncello {
 namespace {
@@ -55,6 +91,26 @@ std::vector<unsigned char> EncodedRecord(const EndpointPersistentState& s) {
   std::vector<unsigned char> record(EndpointStateJournal::kRecordBytes);
   EndpointStateJournal::EncodeRecord(s, record.data());
   return record;
+}
+
+std::vector<unsigned char> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// `count` distinct records, as one tick's dirty set might be.
+std::vector<EndpointPersistentState> SampleBatch(std::uint32_t count = 7) {
+  std::vector<EndpointPersistentState> batch;
+  for (std::uint32_t e = 0; e < count; ++e) {
+    EndpointPersistentState state = SampleState(3 * e + 1, 500 + e);
+    state.intent_enabled = e % 2 == 0;
+    state.controller_state = state.intent_enabled
+                                 ? ControllerState::kEnabledSteady
+                                 : ControllerState::kDisabledSteady;
+    batch.push_back(state);
+  }
+  return batch;
 }
 
 TEST(EndpointStateJournalTest, MissingFileReplaysEmpty) {
@@ -197,6 +253,78 @@ TEST(EndpointStateJournalTest, GarbageFlagBitsRejected) {
       record.data() + EndpointStateJournal::kHeaderBytes, &out));
 }
 
+// A steady tick's batch (one write) and a fleet-wide one larger than
+// kBatchRecords (written in pieces) both leave exactly the bytes of one
+// Append per record.
+TEST(EndpointStateJournalTest, BatchMatchesSingleAppendsByteForByte) {
+  for (const std::uint32_t count :
+       {7u, static_cast<std::uint32_t>(
+                2 * EndpointStateJournal::kBatchRecords + 9)}) {
+    const std::vector<EndpointPersistentState> batch = SampleBatch(count);
+    const std::string singles_path = TempPath("singles.lej");
+    {
+      EndpointStateJournal journal({singles_path});
+      for (const EndpointPersistentState& state : batch) {
+        ASSERT_TRUE(journal.Append(state));
+      }
+      ASSERT_TRUE(journal.Append(batch[2]));
+    }
+    const std::vector<unsigned char> want = ReadBytes(singles_path);
+    ASSERT_EQ(want.size(),
+              (batch.size() + 1) * EndpointStateJournal::kRecordBytes);
+
+    const std::string path = TempPath("batch.lej");
+    EndpointStateJournal journal({path});
+    ASSERT_TRUE(journal.AppendBatch(batch));
+    ASSERT_TRUE(journal.AppendBatch({&batch[2], 1}));
+    ASSERT_TRUE(journal.AppendBatch({}));
+    EXPECT_EQ(journal.stats().appends, batch.size() + 1) << count;
+    EXPECT_EQ(journal.stats().io_errors, 0u);
+    EXPECT_EQ(ReadBytes(path), want) << count << " records";
+  }
+}
+
+TEST(EndpointStateJournalTest, BatchTornMidwayReplaysIntactPrefix) {
+  const std::vector<EndpointPersistentState> batch = SampleBatch();
+  const std::string path = TempPath("torn_batch.lej");
+  {
+    EndpointStateJournal journal({path});
+    ASSERT_TRUE(journal.AppendBatch(batch));
+  }
+  // A crash inside the one write(2): the file ends in the fourth record.
+  std::filesystem::resize_file(
+      path, 3 * EndpointStateJournal::kRecordBytes +
+                EndpointStateJournal::kRecordBytes / 2);
+
+  const EndpointJournalReplay replay = EndpointStateJournal::Replay(path);
+  EXPECT_EQ(replay.valid_records, 3u);
+  EXPECT_EQ(replay.torn_records, 1u);
+  EXPECT_EQ(replay.corrupt_records, 0u);
+  ASSERT_EQ(replay.states.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(replay.states[i], batch[i]);
+}
+
+TEST(EndpointStateJournalTest, BatchAppendDoesNotAllocate) {
+  const std::vector<EndpointPersistentState> tick = SampleBatch();
+  const std::vector<EndpointPersistentState> fleet = SampleBatch(300);
+  const std::string path = TempPath("no_alloc.lej");
+  EndpointStateJournal journal({path});
+  ASSERT_TRUE(journal.AppendBatch(tick));  // opens the descriptor
+  g_allocs.store(0);
+  g_count_allocs.store(true);
+  bool ok = true;
+  for (int i = 0; i < 50; ++i) {
+    ok = journal.AppendBatch(tick) && ok;
+    ok = journal.AppendBatch(fleet) && ok;  // more than one write
+    ok = journal.Append(tick[0]) && ok;
+  }
+  g_count_allocs.store(false);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(g_allocs.load(), 0u);
+  EXPECT_EQ(journal.stats().appends,
+            51 * tick.size() + 50 * fleet.size() + 50);
+}
+
 TEST(EndpointRecoveryTest, ColdStartWhenNoJournal) {
   ControlPlaneOptions options;
   options.num_endpoints = 4;
@@ -236,6 +364,38 @@ TEST(EndpointRecoveryTest, WarmRestartThroughRealJournal) {
   EXPECT_FALSE(hardware[3]);
   EXPECT_TRUE(hardware[1]);
   EXPECT_EQ(plane.SnapshotStats().warm_restores, 2u);
+}
+
+// A journal a version-1 binary wrote (IEEE CRC-32): no endpoint is
+// adopted, the hardware is not touched, and the plane runs cold.
+TEST(EndpointRecoveryTest, Version1JournalColdStarts) {
+  const std::string path = TempPath("version1.lej");
+  std::vector<unsigned char> bytes;
+  for (std::uint32_t e = 0; e < 4; ++e) {
+    std::vector<unsigned char> record = EncodedRecord(SampleState(e, 40));
+    RewriteAsVersion1(record.data(), record.size());
+    bytes.insert(bytes.end(), record.begin(), record.end());
+  }
+  WriteBytes(path, bytes);
+
+  ControlPlaneOptions options;
+  options.num_endpoints = 4;
+  int writes = 0;
+  ControlPlane plane(options, [&writes](std::uint32_t, bool) {
+    ++writes;
+    return true;
+  });
+  const EndpointRecoveryResult result = RecoverEndpointStates(path, &plane);
+  EXPECT_FALSE(result.Warm());
+  EXPECT_EQ(result.adopted, 0);
+  EXPECT_TRUE(result.replay.file_found);
+  EXPECT_EQ(result.replay.version_mismatches, 1u);
+  EXPECT_EQ(result.replay.valid_records, 0u);
+  EXPECT_EQ(writes, 0);
+  for (std::uint32_t e = 0; e < 4; ++e) {
+    EXPECT_TRUE(plane.EndpointIntentEnabled(e));
+  }
+  EXPECT_EQ(plane.SnapshotStats().warm_restores, 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/daemon.h"
+#include "testing/legacy_v1.h"
 
 namespace limoncello {
 namespace {
@@ -224,6 +225,32 @@ TEST(RecoveryManagerTest, StaleVersionIsAColdStart) {
   EXPECT_FALSE(result.warm);
   EXPECT_EQ(result.replay.version_mismatches, 1u);
   EXPECT_EQ(result.replay.valid_records, 0u);
+  ExpectDaemonStillTicks(&daemon);
+}
+
+// A journal a version-1 binary wrote (IEEE CRC-32): its first record
+// stops the scan as a version mismatch, and the daemon cold-starts.
+TEST(RecoveryManagerTest, Version1JournalIsAColdStart) {
+  const std::string path = TempPath("version1.journal");
+  std::vector<unsigned char> bytes;
+  for (int i = 0; i < 3; ++i) {
+    std::vector<unsigned char> record = EncodeOne(DisabledSnapshot());
+    RewriteAsVersion1(record.data(), record.size());
+    bytes.insert(bytes.end(), record.begin(), record.end());
+  }
+  WriteBytes(path, bytes);
+
+  FakeTelemetry telemetry;
+  ReadbackActuator actuator;
+  LimoncelloDaemon daemon(FastConfig(), &telemetry, &actuator);
+  RecoveryManager manager({.state_file = path}, &daemon);
+  const RecoveryResult result = manager.RecoverAndReconcile();
+  EXPECT_FALSE(result.warm);
+  EXPECT_TRUE(result.replay.file_found);
+  EXPECT_EQ(result.replay.version_mismatches, 1u);
+  EXPECT_EQ(result.replay.corrupt_records, 0u);
+  EXPECT_EQ(result.replay.valid_records, 0u);
+  EXPECT_EQ(daemon.controller().state(), ControllerState::kEnabledSteady);
   ExpectDaemonStillTicks(&daemon);
 }
 

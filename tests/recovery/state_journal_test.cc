@@ -71,9 +71,10 @@ std::vector<unsigned char> EncodeOne(const PersistentState& state) {
   return record;
 }
 
-TEST(StateJournalTest, Crc32MatchesTheIeeeCheckValue) {
-  // The standard check value for CRC-32/ISO-HDLC.
-  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+TEST(StateJournalTest, Crc32MatchesTheCastagnoliCheckValue) {
+  // The standard check value for CRC-32C (RFC 3720), the journal's CRC
+  // since version 2.
+  EXPECT_EQ(Crc32("123456789", 9), 0xE3069283u);
   EXPECT_EQ(Crc32("", 0), 0x00000000u);
 }
 

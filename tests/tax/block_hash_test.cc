@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace limoncello {
@@ -89,6 +90,19 @@ TEST(Crc32cTest, PrefetchingDoesNotChangeValue) {
   config.min_size_bytes = 0;
   EXPECT_EQ(Crc32c(data.data(), data.size(), config),
             Crc32c(data.data(), data.size()));
+}
+
+// The tax kernel is util/crc32 walked in prefetch-sized steps: at every
+// length across several steps, on either side of each step boundary, it
+// equals the one-call CRC.
+TEST(Crc32cTest, PrefetchedStepsMatchUtilCrc32AtEveryLength) {
+  const std::string data = RandomString(1100, 8);
+  SoftPrefetchConfig config;
+  config.min_size_bytes = 0;
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    ASSERT_EQ(Crc32c(data.data(), n, config), Crc32(data.data(), n))
+        << "length " << n;
+  }
 }
 
 TEST(Crc32cTest, DetectsCorruption) {

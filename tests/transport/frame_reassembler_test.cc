@@ -9,7 +9,9 @@
 #include <cstring>
 #include <vector>
 
+#include "control/actuation_frame.h"
 #include "control/telemetry_batch.h"
+#include "testing/legacy_v1.h"
 #include "util/rng.h"
 #include "util/wire.h"
 
@@ -176,6 +178,51 @@ TEST(FrameReassemblerTest, RandomSplitBoundariesDeliverEverything) {
   EXPECT_EQ(reassembler.stats().frames_extracted, 200u);
   EXPECT_EQ(reassembler.stats().corrupt_frames, 0u);
   EXPECT_EQ(reassembler.stats().resync_bytes, 0u);
+}
+
+// A version-1 peer's frames carry the IEEE CRC-32: on either leg the
+// reassembler resyncs past them and delivers only the current frames
+// around them.
+TEST(FrameReassemblerTest, Version1FramesNeverReachTheSink) {
+  FrameReassembler telemetry(TelemetryReassembly());
+  Collector collector;
+  std::vector<unsigned char> stream = MakeFrame(1);
+  auto old = MakeFrame(2, 8);
+  RewriteAsVersion1(old.data(), old.size());
+  stream.insert(stream.end(), old.begin(), old.end());
+  const auto after = MakeFrame(3);
+  stream.insert(stream.end(), after.begin(), after.end());
+  EXPECT_EQ(telemetry.Ingest(stream.data(), stream.size(), collector.Sink()),
+            2u);
+  EXPECT_EQ(collector.sequences, (std::vector<std::uint64_t>{1, 3}));
+  EXPECT_EQ(telemetry.stats().corrupt_frames, 1u);
+
+  FrameReassembler::Options options;
+  options.magic = kActuationFrameMagic;
+  options.max_payload_bytes = kActuationFramePayloadBytes;
+  options.read_chunk_bytes = 4096;
+  FrameReassembler actuation(options);
+  unsigned char frames[2 * kActuationFrameBytes];
+  ActuationCommandFrame command;
+  command.endpoint_id = 5;
+  ASSERT_EQ(EncodeActuationCommand(command, frames), kActuationFrameBytes);
+  RewriteAsVersion1(frames, kActuationFrameBytes);
+  command.endpoint_id = 6;
+  ASSERT_EQ(EncodeActuationCommand(command, frames + kActuationFrameBytes),
+            kActuationFrameBytes);
+  std::vector<std::uint32_t> delivered;
+  EXPECT_EQ(actuation.Ingest(frames, sizeof(frames),
+                             [&](const unsigned char* frame,
+                                 std::size_t size) {
+                               ActuationCommandFrame out;
+                               ASSERT_EQ(DecodeActuationCommand(frame, size,
+                                                                &out),
+                                         ActuationDecodeStatus::kOk);
+                               delivered.push_back(out.endpoint_id);
+                             }),
+            1u);
+  EXPECT_EQ(delivered, std::vector<std::uint32_t>{6});
+  EXPECT_EQ(actuation.stats().corrupt_frames, 1u);
 }
 
 }  // namespace

@@ -95,7 +95,8 @@ bool ValidateConfigOrLog(const ControllerConfig& config) {
   return false;
 }
 
-// Wraps an actuator to log (and optionally suppress) MSR writes.
+// Wraps an actuator to log (and optionally suppress) MSR writes. A dry
+// run stops at the log and never reaches `inner` (null then).
 class LoggingActuator : public PrefetchActuator {
  public:
   LoggingActuator(PrefetchActuator* inner, bool dry_run)
@@ -249,8 +250,8 @@ int RunSim(const FlagParser& flags) {
 
 // The optional per-endpoint journal of both control-plane loops
 // (--state-file): construction warm-restarts the plane's endpoints from
-// it, AppendDirty journals the endpoints each tick changed, and Flush
-// writes the shutdown snapshot.
+// it, AppendDirty journals the endpoints each tick changed (one write in
+// a steady tick), and Flush writes the shutdown snapshot.
 class PlaneJournal {
  public:
   PlaneJournal(const FlagParser& flags, ControlPlane* plane) : plane_(plane) {
@@ -260,10 +261,13 @@ class PlaneJournal {
         RecoverEndpointStates(*state_file, plane_);
     LIMONCELLO_LOG_INFO(
         "endpoint journal %s: %d endpoint(s) warm-restored, %d rejected "
-        "(%llu torn, %llu corrupt record(s) tolerated)",
+        "(%llu torn, %llu corrupt, %llu version-mismatched record(s) "
+        "tolerated)",
         state_file->c_str(), recovered.adopted, recovered.rejected,
         static_cast<unsigned long long>(recovered.replay.torn_records),
-        static_cast<unsigned long long>(recovered.replay.corrupt_records));
+        static_cast<unsigned long long>(recovered.replay.corrupt_records),
+        static_cast<unsigned long long>(
+            recovered.replay.version_mismatches));
     EndpointStateJournal::Options jo;
     jo.path = *state_file;
     journal_ = std::make_unique<EndpointStateJournal>(jo);
@@ -275,9 +279,7 @@ class PlaneJournal {
     if (journal_ == nullptr) return;
     dirty_.clear();
     plane_->CollectDirtyEndpoints(&dirty_);
-    for (const EndpointPersistentState& record : dirty_) {
-      (void)journal_->Append(record);
-    }
+    (void)journal_->AppendBatch(dirty_);
   }
 
   void Flush() {
@@ -647,10 +649,16 @@ int RunReal(const FlagParser& flags) {
     return 3;
   }
   const int cpus = device.available() ? device.num_cpus() : 1;
-  PrefetchControl control(&device, PlatformMsrLayout::kIntelStyle, 0,
-                          std::max(1, cpus));
-  MsrPrefetchActuator msr_actuator(&control, std::max(1, cpus));
-  LoggingActuator actuator(&msr_actuator, dry_run);
+  // A dry run never writes, so it never builds the MSR path: on a host
+  // without /dev/cpu/*/msr there is no device to build it over.
+  std::unique_ptr<PrefetchControl> control;
+  std::unique_ptr<MsrPrefetchActuator> msr_actuator;
+  if (!dry_run) {
+    control = std::make_unique<PrefetchControl>(
+        &device, PlatformMsrLayout::kIntelStyle, 0, cpus);
+    msr_actuator = std::make_unique<MsrPrefetchActuator>(control.get(), cpus);
+  }
+  LoggingActuator actuator(msr_actuator.get(), dry_run);
 
   std::unique_ptr<UtilizationSource> telemetry;
   std::string telemetry_desc;

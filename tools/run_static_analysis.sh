@@ -94,8 +94,10 @@ echo "=== [3/3] sanitizer pass ($SANITIZER) ==="
 # parallel through ThreadPool and calls its actuation hook concurrently,
 # so its suite is here as well, with the controller core both adapters
 # step (daemon and plane), the endpoint journal, and the socket transport
-# that feeds the plane and carries its actuation frames.
-SAN_TESTS_REGEX='^(MutexTest|CondVarTest|ThreadPoolTest|FleetParallelTest|FleetChaosTest|DaemonTest|DaemonFaultTest|FaultPlanTest|FaultInjectorTest|StateJournalTest|RecoveryManagerTest|WarmRestartTest|EndpointStateJournalTest|EndpointRecoveryTest|ControllerConfigTest|ControlPlaneTest|ControlChaosTest|ActuationFrameTest|FrameReassemblerTest|SocketTransportTest|Limolint|limolint)'
+# that feeds the plane and carries its actuation frames. The telemetry
+# decoder, the transport chaos layer and the CRC kernels (hardware and
+# portable) parse or mangle untrusted bytes, so they run here too.
+SAN_TESTS_REGEX='^(MutexTest|CondVarTest|ThreadPoolTest|FleetParallelTest|FleetChaosTest|DaemonTest|DaemonFaultTest|FaultPlanTest|FaultInjectorTest|StateJournalTest|RecoveryManagerTest|WarmRestartTest|EndpointStateJournalTest|EndpointRecoveryTest|ControllerConfigTest|ControlPlaneTest|ControlChaosTest|ActuationFrameTest|FrameReassemblerTest|SocketTransportTest|TelemetryBatchTest|ChaosTransportTest|Crc32Test|Limolint|limolint)'
 case "$SANITIZER" in
   none)
     stage sanitizer SKIP "disabled via --sanitizer=none"
@@ -112,7 +114,8 @@ case "$SANITIZER" in
         warm_restart_test \
         endpoint_journal_test controller_config_test control_plane_test \
         control_chaos_test actuation_frame_test frame_reassembler_test \
-        socket_transport_test limolint limolint_test >/dev/null; then
+        socket_transport_test telemetry_batch_test transport_chaos_test \
+        crc32_test limolint limolint_test >/dev/null; then
       stage sanitizer FAIL "build under ${SAN_OPT} failed"
     elif (cd "$SAN_DIR" && ctest -R "$SAN_TESTS_REGEX" \
         --output-on-failure -j "$JOBS"); then
